@@ -61,7 +61,6 @@ from .pulses import (
 from .trajectory import (
     DetuningContext,
     PhaseResult,
-    QuadratureError,
     ResonanceError,
     Trajectory,
     TrajectoryEngine,

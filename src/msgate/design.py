@@ -37,7 +37,7 @@ from .trajectory import (
     DetuningContext,
     Trajectory,
     check_resonance,
-    engine_for,
+    gate_integrals,
     mode_trajectory,
     phase_and_derivative,
 )
@@ -110,7 +110,7 @@ def _bracket_margin(pulse: PulseShape, gap: float) -> float:
 
 
 def _margin_floor(pulse: PulseShape, gap: float) -> float:
-    """Smallest admissible margin when widening the bracket.
+    """Smallest admissible margin when scanning for a bracket.
 
     The enclosed-area B(delta) of a Gaussian envelope peaks near
     |delta| = 0.92/z; inside that turnover a mode's own term produces a
@@ -119,6 +119,16 @@ def _margin_floor(pulse: PulseShape, gap: float) -> float:
     """
     z = getattr(pulse, "z", None)
     return max(1.2 / z if z else 1e-3 * gap, TWO_PI * 400.0)
+
+
+def _theta_slopes(coupling: GateCoupling, pulse: PulseShape, delta_cs, panels: int) -> np.ndarray:
+    """d theta / d delta_c at every carrier detuning of ``delta_cs``, in one batch."""
+    ref = coupling.freqs[0]
+    _, _, slopes = gate_integrals(
+        pulse, ref - coupling.freqs, shifts=np.asarray(delta_cs) - ref, panels=panels,
+        alpha=False, derivatives=1,
+    )
+    return slopes @ coupling.eta_products
 
 
 def solve_balance(
@@ -134,8 +144,10 @@ def solve_balance(
 
     The root is independent of the trial Rabi rate (theta scales as
     omega0^2 uniformly). If the derivative does not change sign at the
-    initial margin, the bracket is widened toward the modes a few times
-    before giving up; the error reports both endpoint derivatives.
+    initial margins (the bracket then holds an even number of roots), it
+    is scanned across the interval the margin floor allows, and Brent
+    polishes the sign change nearest the midpoint of the two modes. The
+    error reports both initial endpoint derivatives.
     """
     i1 = coupling.flat_index(direction, k1)
     i2 = coupling.flat_index(direction, k2)
@@ -150,34 +162,29 @@ def solve_balance(
         )
         return res.dtheta_ddelta_c
 
-    margin_lo = margin_hi = _bracket_margin(pulse, gap)
-    floor = _margin_floor(pulse, gap)
-    last = None
-    for _ in range(16):
-        a, b = nu1 + margin_lo, nu2 - margin_hi
-        fa, fb = dtheta(a), dtheta(b)
-        last = (a, fa, b, fb)
-        if np.sign(fa) != np.sign(fb):
-            root = brent(dtheta, a, b, xtol=root_tol)
-            if not (nu1 < root < nu2):
-                raise BracketError("balance root escaped the inter-mode interval")
-            return float(root)
-        # widen toward the modes; the root may hug the weakly coupled one
-        shrunk = False
-        if margin_hi * 0.5 >= floor:
-            margin_hi *= 0.5
-            shrunk = True
-        if margin_lo * 0.5 >= floor:
-            margin_lo *= 0.5
-            shrunk = True
-        if not shrunk:
-            break
-    a, fa, b, fb = last
-    raise BracketError(
-        "d theta/d delta_c does not change sign between modes "
-        f"{k1} and {k2} of {direction}: f({angular_to_hz(a):.6g} Hz) = {fa:.6g}, "
-        f"f({angular_to_hz(b):.6g} Hz) = {fb:.6g}"
-    )
+    margin = _bracket_margin(pulse, gap)
+    a, b = nu1 + margin, nu2 - margin
+    fa, fb = dtheta(a), dtheta(b)
+    if np.sign(fa) == np.sign(fb):
+        floor = _margin_floor(pulse, gap)
+        # about six samples per 2 pi / tau, the ripple period of the finite window
+        n_scan = max(33, int(np.ceil((gap - 2.0 * floor) * pulse.tau)) + 1)
+        grid = np.linspace(nu1 + floor, nu2 - floor, n_scan) if 2.0 * floor < gap else np.empty(0)
+        signs = np.sign(_theta_slopes(coupling, pulse, grid, panels))
+        changes = np.flatnonzero(signs[:-1] != signs[1:])
+        if not changes.size:
+            raise BracketError(
+                "d theta/d delta_c does not change sign between modes "
+                f"{k1} and {k2} of {direction}: f({angular_to_hz(a):.6g} Hz) = {fa:.6g}, "
+                f"f({angular_to_hz(b):.6g} Hz) = {fb:.6g}"
+            )
+        centres = 0.5 * (grid[changes] + grid[changes + 1])
+        i = changes[np.argmin(np.abs(centres - midpoint_guess(nu1, nu2)))]
+        a, b = grid[i], grid[i + 1]
+    root = brent(dtheta, a, b, xtol=root_tol)
+    if not (nu1 < root < nu2):
+        raise BracketError("balance root escaped the inter-mode interval")
+    return float(root)
 
 
 def calibrate_omega0(
@@ -192,17 +199,13 @@ def calibrate_omega0(
     omega0 -> omega0 sqrt((pi/2)/|theta_trial|). Returns the rescaled
     pulse and the achieved (signed) theta.
     """
-    ctx = DetuningContext(delta_c)
-    traj = mode_trajectory(coupling, pulse, ctx, panels=panels)
-    theta_trial = float(coupling.eta_products @ traj.phases)
+    deltas = DetuningContext(delta_c).sideband_detunings(coupling.freqs)
+    _, phases = gate_integrals(pulse, deltas, panels=panels, alpha=False)
+    theta_trial = float(coupling.eta_products @ phases)
     if theta_trial == 0.0:
         raise ValueError("trial rotation angle is zero; cannot calibrate omega0")
     calibrated = pulse.with_omega0(pulse.omega0 * math.sqrt(THETA_TARGET / abs(theta_trial)))
-    traj2 = mode_trajectory(coupling, calibrated, ctx, panels=panels)
-    theta = float(coupling.eta_products @ traj2.phases)
-    if abs(abs(theta) - THETA_TARGET) > 1e-9:
-        raise RuntimeError(f"calibration failed: |theta| = {abs(theta):.12f}")
-    return calibrated, theta
+    return calibrated, theta_trial * (calibrated.omega0 / pulse.omega0) ** 2
 
 
 def design_gate(
@@ -284,24 +287,13 @@ def evaluate_with_error(
 ) -> ErrorBreakdown:
     """Error breakdown of a fixed design under a symmetric frequency error.
 
-    Raises ResonanceError when the shifted drive lands on a mode; sweep
-    drivers that must emit flagged rows use ``evaluate_lenient``.
+    Raises ResonanceError when the shifted drive lands on a mode;
+    ``breakdown_curve`` flags such points instead.
     """
     ctx = DetuningContext(design.delta_c, domega)
     check_resonance(ctx.sideband_detunings(design.coupling.freqs))
     traj = mode_trajectory(design.coupling, design.pulse, ctx, panels=panels)
     return error_breakdown(design.coupling, traj, with_rho=with_rho)
-
-
-def evaluate_lenient(
-    design: GateDesign, domega: float, with_rho: bool = False, panels: int = DEFAULT_PANELS
-) -> tuple[ErrorBreakdown, bool]:
-    """Like evaluate_with_error but flags resonance instead of raising."""
-    ctx = DetuningContext(design.delta_c, domega)
-    deltas = ctx.sideband_detunings(design.coupling.freqs)
-    flagged = bool(np.any(np.abs(deltas) < RESONANCE_GUARD))
-    traj = mode_trajectory(design.coupling, design.pulse, ctx, panels=panels)
-    return error_breakdown(design.coupling, traj, with_rho=with_rho), flagged
 
 
 @dataclass(frozen=True)
@@ -324,17 +316,15 @@ def breakdown_curve(
 ) -> BreakdownCurve:
     """eps_d / eps_r / fidelity over an array of frequency errors.
 
-    All (mode, grid-point) pairs go through the quadrature in one batch.
-    Points where a shifted detuning falls inside the resonance guard are
-    still evaluated (the quadrature is regular there) but flagged.
+    All (grid-point, mode) pairs go through the quadrature as one
+    separable batch. Points where a shifted detuning falls inside the
+    resonance guard are still evaluated (the quadrature is regular
+    there) but flagged.
     """
     domegas = np.asarray(domegas, dtype=float)
-    freqs = design.coupling.freqs
-    deltas = (design.delta_c - freqs)[None, :] + domegas[:, None]
-    engine = engine_for(design.pulse, panels)
-    alphas, phases = engine.alpha_and_phase_many(deltas.ravel())
-    alphas = alphas.reshape(deltas.shape)
-    phases = phases.reshape(deltas.shape)
+    base = design.delta_c - design.coupling.freqs
+    deltas = base[None, :] + domegas[:, None]
+    alphas, phases = gate_integrals(design.pulse, base, shifts=domegas, panels=panels)
     eigsys = spin_eigensystem(design.coupling)
     products = design.coupling.eta_products
 

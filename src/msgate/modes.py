@@ -22,7 +22,6 @@ import numpy as np
 
 from .chain import IonChain, axial_hessian
 from .config import LaserGeometry, SystemConfig, angular_to_hz, hz_to_angular
-from .numerics import jacobi_eigh
 
 LAMB_DICKE_WARN = 0.2  # |eta| beyond this leaves the regime the model assumes
 
@@ -111,7 +110,7 @@ def _check_nondegenerate(freqs: np.ndarray, direction: str) -> None:
 
 def axial_modes(chain: IonChain) -> ModeStructure:
     """Axial eigenmodes; the lowest is the COM mode with uniform participation."""
-    mu, b = jacobi_eigh(axial_hessian(chain))
+    mu, b = np.linalg.eigh(axial_hessian(chain))
     freqs = chain.omega_z * np.sqrt(mu)
     _check_nondegenerate(freqs, "axial")
     return ModeStructure(
@@ -138,7 +137,7 @@ def radial_modes(chain: IonChain, trap_freq: float, direction: str = "radial_b")
     Raises ZigZagInstabilityError when the lowest eigenvalue is not
     positive, i.e. the chain would buckle out of the line.
     """
-    mu, b = jacobi_eigh(radial_hessian(chain, trap_freq))
+    mu, b = np.linalg.eigh(radial_hessian(chain, trap_freq))
     if mu[0] <= 0.0:
         raise ZigZagInstabilityError(
             f"zig-zag mode unstable: lowest radial eigenvalue {mu[0]:.6g} "

@@ -1,11 +1,5 @@
-"""Dependency-light numerical kernels: Jacobi eigensolver, Brent root
-finding and natural cubic splines.
-
-These are deliberately hand-rolled rather than pulled from a larger
-library so that results are bitwise reproducible across platforms for
-the small problem sizes this package deals with (chains of at most a
-few tens of ions).
-"""
+"""Dependency-light numerical kernels: Brent root finding, golden-section
+minimisation and natural cubic splines, in plain numpy."""
 
 from __future__ import annotations
 
@@ -14,72 +8,6 @@ import numpy as np
 
 class ConvergenceError(RuntimeError):
     """An iterative kernel failed to reach its tolerance."""
-
-
-def jacobi_eigh(matrix: np.ndarray, rel_tol: float = 1e-14, max_sweeps: int = 100):
-    """Eigendecomposition of a real symmetric matrix by cyclic Jacobi sweeps.
-
-    Returns (eigenvalues ascending, eigenvectors as columns). Sweeps stop
-    once the off-diagonal Frobenius norm drops below ``rel_tol`` times the
-    norm of the input.
-
-    Raises
-    ------
-    ValueError if the input is not symmetric.
-    ConvergenceError if the sweep limit is exhausted (not expected for
-    well-formed inputs below ~100x100).
-    """
-    a = np.array(matrix, dtype=float)
-    n = a.shape[0]
-    if a.shape != (n, n):
-        raise ValueError("matrix must be square")
-    if not np.allclose(a, a.T, rtol=0.0, atol=1e-12 * max(1.0, np.abs(a).max())):
-        raise ValueError("matrix must be symmetric")
-
-    v = np.eye(n)
-    if n == 1:
-        return a.diagonal().copy(), v
-
-    norm = np.linalg.norm(a)
-    threshold = rel_tol * max(norm, np.finfo(float).tiny)
-
-    for _ in range(max_sweeps):
-        off = np.sqrt(np.sum(np.tril(a, -1) ** 2) * 2.0)
-        if off <= threshold:
-            break
-        for p in range(n - 1):
-            for q in range(p + 1, n):
-                apq = a[p, q]
-                if abs(apq) <= threshold / (n * n):
-                    continue
-                tau = (a[q, q] - a[p, p]) / (2.0 * apq)
-                if tau >= 0.0:
-                    t = 1.0 / (tau + np.sqrt(1.0 + tau * tau))
-                else:
-                    t = -1.0 / (-tau + np.sqrt(1.0 + tau * tau))
-                c = 1.0 / np.sqrt(1.0 + t * t)
-                s = t * c
-                # rotate rows/columns p and q
-                ap = a[:, p].copy()
-                aq = a[:, q].copy()
-                a[:, p] = c * ap - s * aq
-                a[:, q] = s * ap + c * aq
-                ap = a[p, :].copy()
-                aq = a[q, :].copy()
-                a[p, :] = c * ap - s * aq
-                a[q, :] = s * ap + c * aq
-                a[p, q] = 0.0
-                a[q, p] = 0.0
-                vp = v[:, p].copy()
-                vq = v[:, q].copy()
-                v[:, p] = c * vp - s * vq
-                v[:, q] = s * vp + c * vq
-    else:
-        raise ConvergenceError("Jacobi sweeps did not converge")
-
-    w = a.diagonal().copy()
-    order = np.argsort(w, kind="stable")
-    return w[order], v[:, order]
 
 
 def brent(func, a: float, b: float, xtol: float, max_iter: int = 200) -> float:

@@ -25,7 +25,7 @@ import numpy as np
 
 from .modes import GateCoupling
 from .pulses import PulseShape
-from .trajectory import engine_for
+from .trajectory import gate_integrals
 
 _SIGMA_Y = np.array([[0.0, -1.0j], [1.0j, 0.0]])
 _LEAK_TOL = 1e-8
@@ -201,8 +201,7 @@ def run_oracle(
         )
 
     # analytic reference from the quadrature path
-    engine = engine_for(pulse)
-    alphas, phases = engine.alpha_and_phase_many(deltas)
+    alphas, phases = gate_integrals(pulse, deltas)
     lam = _branch_eigenvalues(eta1, eta2)
     reference = _analytic_state(lam, alphas, phases, n_max)
     overlap = abs(np.vdot(reference, psi)) ** 2

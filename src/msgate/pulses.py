@@ -1,14 +1,20 @@
 """Carrier Rabi-rate envelopes Omega(t) for the three pulse families.
 
 All shapes vanish outside the gate window [0, tau] and are non-negative
-inside it. ``omega0`` is the peak angular Rabi rate in rad/s.
+inside it. ``omega0`` is the peak angular Rabi rate in rad/s. Each shape
+also gives its autocorrelation R(s) = integral_s^tau Omega(t) Omega(t-s) dt
+exactly (closed form, or exact piecewise-polynomial quadrature for the
+spline); the entangling phase is the sine transform of R.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.polynomial.chebyshev import chebvander
+from numpy.polynomial.legendre import leggauss
 
 from .config import PulseSpec, hz_to_angular
 from .numerics import NaturalCubicSpline
@@ -29,6 +35,16 @@ class PulseShape:
 
     def _profile(self, t: np.ndarray) -> np.ndarray:
         raise NotImplementedError
+
+    def autocorrelation(self, s: np.ndarray) -> np.ndarray:
+        """R(s) = integral_s^tau Omega(t) Omega(t - s) dt for lags s in [0, tau]."""
+        raise NotImplementedError
+
+    @property
+    def pieces(self) -> int:
+        """Equal sub-intervals of [0, tau] on which the envelope is one
+        analytic function; quadrature panels are aligned to them."""
+        return 1
 
     def amplitude(self, t):
         """Omega(t) in rad/s; zero outside [0, tau]."""
@@ -61,6 +77,9 @@ class SquarePulse(PulseShape):
     def _profile(self, t):
         return np.full(t.shape, self.omega0)
 
+    def autocorrelation(self, s):
+        return self.omega0**2 * (self.tau - np.asarray(s, dtype=float))
+
     def with_omega0(self, omega0):
         return SquarePulse(omega0=omega0, tau=self.tau)
 
@@ -81,8 +100,19 @@ class TruncGaussianPulse(PulseShape):
     def _profile(self, t):
         return self.omega0 * np.exp(-((t - self.tau / 2.0) ** 2) / (2.0 * self.z**2))
 
+    def autocorrelation(self, s):
+        # Omega(t) Omega(t - s) = omega0^2 exp(-s^2/4z^2) exp(-u^2/z^2), u = t - (tau + s)/2
+        s = np.asarray(s, dtype=float)
+        half_width = (self.tau - s) / (2.0 * self.z)
+        erf = np.array([math.erf(x) for x in half_width.ravel()]).reshape(s.shape)
+        gauss = np.exp(-(s**2) / (4.0 * self.z**2))
+        return self.omega0**2 * self.z * math.sqrt(math.pi) * gauss * erf
+
     def with_omega0(self, omega0):
         return TruncGaussianPulse(omega0=omega0, tau=self.tau, z=self.z)
+
+
+_SPLINE_R_DEGREE = 13  # degree of R(s) between knot-aligned lags (6 + 6 + 1)
 
 
 @dataclass(frozen=True)
@@ -120,6 +150,46 @@ class SplineGaussianPulse(PulseShape):
 
     def _profile(self, t):
         return self._spline(t) ** 2
+
+    @property
+    def pieces(self) -> int:
+        return self.n_knots - 1
+
+    def autocorrelation(self, s):
+        """Exact R(s) from its piecewise-polynomial structure.
+
+        Omega is a degree-6 polynomial between knots, so on each lag
+        interval s = (m + r) h (h the knot spacing, 0 <= r <= 1) R is a
+        polynomial of degree 13 in r. It is sampled at 14 Chebyshev points
+        r and interpolated. A sample splits the integrand at the knots of
+        t and of t - s: on t in [t_j + r h, t_j+1] it pairs interval j
+        with interval j - m, on [t_j, t_j + r h] interval j with j - m - 1,
+        and 7-point Gauss-Legendre is exact on every such piece.
+        """
+        s = np.asarray(s, dtype=float)
+        knots = self._spline.x
+        h = knots[1] - knots[0]
+        nodes, weights = leggauss(7)
+        u = (nodes + 1.0) / 2.0
+        cheb = np.cos(np.pi * np.arange(_SPLINE_R_DEGREE + 1) / _SPLINE_R_DEGREE)
+        r = (cheb[:, None] + 1.0) / 2.0
+
+        def omega(x):  # Omega on every knot interval at local positions x in [0, 1]
+            return self._profile(knots[:-1, None, None] + h * x[None, :, :])
+
+        late_hi, late_lo = omega(r + (1.0 - r) * u), omega((1.0 - r) * u)
+        early_hi, early_lo = omega(r * u), omega(1.0 - r + r * u)
+        w_late, w_early = (1.0 - r) * weights / 2.0, r * weights / 2.0
+        n = self.pieces
+        samples = np.empty((_SPLINE_R_DEGREE + 1, n))
+        for m in range(n):
+            late = np.sum(late_hi[m:] * late_lo[: n - m] * w_late, axis=(0, 2))
+            early = np.sum(early_hi[m + 1 :] * early_lo[: n - m - 1] * w_early, axis=(0, 2))
+            samples[:, m] = h * (late + early)
+        coeffs = np.linalg.solve(chebvander(cheb, _SPLINE_R_DEGREE), samples)
+        m = np.clip(np.floor(s / h), 0, n - 1).astype(int)
+        basis = chebvander(2.0 * (s / h - m) - 1.0, _SPLINE_R_DEGREE)
+        return np.sum(basis * np.moveaxis(coeffs[:, m], 0, -1), axis=-1)
 
     def with_omega0(self, omega0):
         return SplineGaussianPulse(omega0=omega0, tau=self.tau, z=self.z, n_knots=self.n_knots)

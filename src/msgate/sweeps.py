@@ -15,7 +15,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from . import __version__
-from .config import SystemConfig, angular_to_hz, config_from_dict, default_target_pair, hz_to_angular
+from .config import ConfigError, SystemConfig, angular_to_hz, config_from_dict, default_target_pair, hz_to_angular
 from .design import (
     BracketError,
     GateDesign,
@@ -24,8 +24,11 @@ from .design import (
     sensitivity,
 )
 from .errors import exact_fidelity, parity_scan, reduced_density_matrix, spin_eigensystem
-from .modes import ZigZagInstabilityError
-from .trajectory import DetuningContext, mode_trajectory
+from .modes import DegenerateModesError, ZigZagInstabilityError
+from .trajectory import DetuningContext, ResonanceError, mode_trajectory
+
+# failures that belong to the physics of a grid point; they become status rows
+DOMAIN_ERRORS = (BracketError, ZigZagInstabilityError, DegenerateModesError, ResonanceError, ConfigError)
 
 
 @dataclass(frozen=True)
@@ -147,7 +150,7 @@ def _contour_column(task):
     rows = []
     try:
         design = design_gate(cfg)
-    except (BracketError, ZigZagInstabilityError, ValueError) as exc:
+    except DOMAIN_ERRORS as exc:
         for dw in domega_grid_hz:
             rows.append([z * 1e6, dw / 1e3, np.nan, np.nan, np.nan, np.nan, 1, np.nan, np.nan, type(exc).__name__])
         return index, rows
@@ -265,7 +268,7 @@ def _chain_point(task):
             curve_rows.append(
                 [n, dx0 * 1e6, dw / 1e3, curve.eps_d[i], curve.eps_r[i], curve.eps_s[i], curve.flags[i]]
             )
-    except (BracketError, ZigZagInstabilityError, ValueError) as exc:
+    except DOMAIN_ERRORS as exc:
         summary["status"] = f"{type(exc).__name__}: {exc}"
     return index, summary, curve_rows
 

@@ -5,14 +5,30 @@ the coherent displacement of a mode and its accumulated geometric phase
 are
 
     alpha(tau) = i * integral_0^tau Omega(t) exp(-i delta t) dt
-    B(tau)     = - integral_0^tau Im( dalpha/dt * conj(alpha) ) dt
-               = integral over t2 < t1 of Omega(t1) Omega(t2) sin(delta (t1 - t2))
+    B(tau)     = integral over t2 < t1 of Omega(t1) Omega(t2) sin(delta (t1 - t2))
+               = integral_0^tau R(s) sin(delta s) ds,
 
-alpha is (up to the factor i) the finite-window Fourier transform of the
-envelope evaluated at delta; B is the enclosed phase-space area, odd in
-delta and quadratic in the Rabi rate. Both are evaluated with composite
-Gauss-Legendre quadrature on uniform panels; panel doubling verifies the
-requested relative accuracy.
+with R(s) = integral_s^tau Omega(t) Omega(t - s) dt the envelope
+autocorrelation (``PulseShape.autocorrelation``). alpha is (up to the
+factor i) the finite-window Fourier transform of the envelope, B the sine
+transform of R: odd in delta and quadratic in the Rabi rate. The
+detuning derivatives are transforms of the same table,
+
+    dB/d delta     =  integral_0^tau s R(s) cos(delta s) ds,
+    d2B/d delta^2  = -integral_0^tau s^2 R(s) sin(delta s) ds.
+
+A ``TrajectoryEngine`` tabulates the quadrature weights of Omega and R
+once per pulse shape, on composite Gauss-Legendre nodes t_n (uniform
+panels, aligned to the pieces of a piecewise-polynomial envelope). Every
+evaluation is then a sum W_n exp(i delta t_n). Studies evaluate product
+grids delta[j, k] = (delta_c - nu_k) + domega_j; because the exponential
+factors as exp(i (delta_c - nu_k) t) exp(i domega_j t), a whole
+(grid x modes) batch is one matrix product of two exponential tables.
+Within each panel the exponentials factor again into a panel-start and a
+node-offset term, so a batch of J x K detunings costs (J + K) times
+(panels + order) complex exponentials plus the product. The shared
+tables are kept per shape at unit peak Rabi rate (alpha ~ omega0,
+B ~ omega0^2), so a calibrated pulse reuses its trial pulse's table.
 
 The total gate rotation angle is theta = sum_k eta1_k eta2_k B_k(tau)
 over all driven modes, and its derivative with respect to the carrier
@@ -29,16 +45,13 @@ from numpy.polynomial.legendre import leggauss
 
 from .config import TWO_PI
 from .modes import GateCoupling
-from .pulses import PulseShape, SquarePulse
+from .pulses import PulseShape
 
 GL_ORDER = 8
 DEFAULT_PANELS = 512
 RESONANCE_GUARD = TWO_PI * 100.0  # rad/s; sideband drives closer than this are rejected
-FD_STEP = TWO_PI * 10.0  # rad/s; detuning-derivative stencil step
-
-
-class QuadratureError(RuntimeError):
-    """Panel doubling failed to reach the requested relative accuracy."""
+_GL_NODES, _GL_WEIGHTS = leggauss(GL_ORDER)
+_BLOCK = 64  # detunings per exponential table: bounds temporaries to a few MB
 
 
 class ResonanceError(ValueError):
@@ -93,118 +106,111 @@ def square_phase_closed_form(omega0: float, tau: float, delta: float) -> float:
     return omega0**2 * (x - np.sin(x)) / delta**2
 
 
-class TrajectoryEngine:
-    """Precomputed quadrature grids for one pulse shape.
+def _phasors(deltas, starts, offsets):
+    """exp(i delta t_n) on the nodes t_n = starts_p + offsets_i, shape (len(deltas), P*G)."""
+    d = deltas[:, None]
+    table = np.exp(1j * d * starts)[:, :, None] * np.exp(1j * d * offsets)[:, None, :]
+    return table.reshape(deltas.size, -1)
 
-    The envelope is sampled once per panel count; evaluating alpha/B for
-    a new detuning then only needs complex exponentials. The inner
-    (within-panel) part of the B double integral contracts to a fixed
-    GL_ORDER x GL_ORDER matrix independent of the detuning, so batch
-    evaluation over many detunings costs O(n_detunings * panels).
+
+class TrajectoryEngine:
+    """Quadrature tables of one pulse shape and the transforms built on them.
+
+    For each panel count the table holds the panel starts, the node
+    offsets within a panel and the weights w_n Omega(t_n), w_n R(t_n),
+    w_n t_n R(t_n) and w_n t_n^2 R(t_n); every alpha, B and dB/d delta is
+    a weighted sum of exp(i delta t_n) over that one node set.
     """
 
-    def __init__(self, pulse: PulseShape, panels: int = DEFAULT_PANELS, quad_rel: float = 1e-10):
+    def __init__(self, pulse: PulseShape, panels: int = DEFAULT_PANELS):
         if panels < 1:
             raise ValueError("need at least one panel")
         self.pulse = pulse
         self.panels = int(panels)
-        self.quad_rel = float(quad_rel)
-        nodes, weights = leggauss(GL_ORDER)
-        self._nodes = nodes
-        self._weights = weights
-        self._grids: dict[int, tuple] = {}
+        self._tables: dict[int, tuple] = {}
 
-    def _grid(self, panels: int):
-        cached = self._grids.get(panels)
+    def _table(self, panels: int):
+        cached = self._tables.get(panels)
         if cached is not None:
             return cached
-        tau = self.pulse.tau
-        h = tau / panels
-        starts = h * np.arange(panels)
-        off_out = h * (self._nodes + 1.0) / 2.0  # (GL_ORDER,)
-        # inner GL nodes of the sub-interval [panel start, outer node]
-        off_in = off_out[:, None] * (self._nodes[None, :] + 1.0) / 2.0
-        omega_out = self.pulse.amplitude(starts[:, None] + off_out[None, :])
-        omega_in = self.pulse.amplitude(
-            starts[:, None, None] + off_in[None, :, :]
-        )  # (panels, i, j)
-        w1 = (h / 2.0) * self._weights[None, :] * omega_out  # outer quadrature weights
-        w2 = w1 * (off_out[None, :] / 2.0)
-        # within-panel double-integral kernel, summed over panels
-        q = np.einsum("pi,j,pij->ij", w2, self._weights, omega_in)
-        grid = (starts, off_out, off_in, w1, q)
-        self._grids[panels] = grid
-        return grid
+        pieces = self.pulse.pieces
+        aligned = -(-panels // pieces) * pieces
+        h = self.pulse.tau / aligned
+        starts = h * np.arange(aligned)
+        offsets = h * (_GL_NODES + 1.0) / 2.0
+        t = starts[None, :] + offsets[:, None]  # (order, panels)
+        w = (h / 2.0) * _GL_WEIGHTS[:, None]
+        lag = w * self.pulse.autocorrelation(t)
+        weights = np.concatenate([w * self.pulse.amplitude(t), lag, t * lag, t * t * lag], axis=1)
+        table = (starts, offsets, weights)
+        self._tables[panels] = table
+        return table
 
-    def alpha_and_phase_many(self, deltas, panels: int | None = None, chunk: int = 2048):
-        """alpha(tau) and B(tau) for an array of detunings (rad/s)."""
-        deltas = np.atleast_1d(np.asarray(deltas, dtype=float))
-        starts, off_out, off_in, w1, q = self._grid(panels or self.panels)
-        alphas = np.empty(deltas.shape, dtype=complex)
-        phases = np.empty(deltas.shape, dtype=float)
-        for lo in range(0, deltas.size, chunk):
-            d = deltas[lo : lo + chunk, None]
-            e_start = np.exp(-1j * d * starts[None, :])  # (m, panels)
-            e_out = np.exp(-1j * d * off_out[None, :])  # (m, order)
-            seg = np.einsum("pi,mi->mp", w1, e_out) * e_start  # per-panel integrals
-            running = np.cumsum(seg, axis=1)
-            alphas[lo : lo + chunk] = 1j * running[:, -1]
-            before = running - seg  # exclusive prefix: integral up to the panel start
-            cross = np.einsum("mp,mp->m", seg.conj(), before).imag
-            e_in = np.exp(-1j * deltas[lo : lo + chunk, None, None] * off_in[None, :, :])
-            within = np.einsum("mi,mij,ij->m", e_out.conj(), e_in, q).imag
-            phases[lo : lo + chunk] = cross + within
-        return alphas, phases
+    def _transform(self, deltas, shifts, table, rows: slice):
+        """sum_n W[r, n] exp(i (deltas_k + shifts_j) t_n) for the weight rows
+        ``rows`` of the table, shape (J, K, R); J = 1 without shifts.
 
-    def alpha_many(self, deltas, panels: int | None = None, chunk: int = 2048):
-        deltas = np.atleast_1d(np.asarray(deltas, dtype=float))
-        starts, off_out, _, w1, _ = self._grid(panels or self.panels)
-        out = np.empty(deltas.shape, dtype=complex)
-        for lo in range(0, deltas.size, chunk):
-            d = deltas[lo : lo + chunk, None]
-            e_start = np.exp(-1j * d * starts[None, :])
-            e_out = np.exp(-1j * d * off_out[None, :])
-            seg = np.einsum("pi,mi->mp", w1, e_out) * e_start
-            out[lo : lo + chunk] = 1j * seg.sum(axis=1)
+        One detuning costs panels + order exponentials: the panel-start
+        and node-offset factors are contracted separately. A product grid
+        is one (J x N) . (N x K R) matrix product of exponential tables.
+        """
+        starts, offsets, weights = table
+        n_panels = starts.size
+        w = weights[:, rows.start * n_panels : rows.stop * n_panels]  # (order, R * panels)
+        n_rows = rows.stop - rows.start
+        if shifts is not None and shifts.size == 1:
+            deltas, shifts = deltas + shifts[0], None
+        out = np.empty((1 if shifts is None else shifts.size, deltas.size, n_rows), dtype=complex)
+        if shifts is None:
+            for k0 in range(0, deltas.size, _BLOCK):
+                d = deltas[k0 : k0 + _BLOCK, None]
+                e_off = np.exp(1j * d * offsets)
+                inner = e_off.real @ w + 1j * (e_off.imag @ w)
+                inner = inner.reshape(d.size, n_rows, n_panels)
+                out[0, k0 : k0 + _BLOCK] = (inner @ np.exp(1j * d * starts)[:, :, None])[..., 0]
+            return out
+        w = w.reshape(offsets.size, n_rows, n_panels).transpose(1, 2, 0).reshape(n_rows, -1)
+        for k0 in range(0, deltas.size, _BLOCK):
+            right = _phasors(deltas[k0 : k0 + _BLOCK], starts, offsets)
+            rw = (right[:, None, :] * w[None, :, :]).reshape(-1, w.shape[1])
+            for j0 in range(0, shifts.size, _BLOCK):
+                left = _phasors(shifts[j0 : j0 + _BLOCK], starts, offsets)
+                block = (left @ rw.T).reshape(left.shape[0], -1, n_rows)
+                out[j0 : j0 + _BLOCK, k0 : k0 + _BLOCK] = block
         return out
 
-    def _refined(self, delta: float, want_alpha: bool):
-        """Panel-doubling loop for a single detuning."""
-        scale_a = self.pulse.omega0 * self.pulse.tau
-        scale_b = (self.pulse.omega0 * self.pulse.tau) ** 2
-        panels = self.panels
-        prev_a, prev_b = self.alpha_and_phase_many([delta], panels=panels)
-        for _ in range(5):
-            panels *= 2
-            cur_a, cur_b = self.alpha_and_phase_many([delta], panels=panels)
-            ok_a = abs(cur_a[0] - prev_a[0]) <= self.quad_rel * (abs(cur_a[0]) + 1e-14 * scale_a)
-            ok_b = abs(cur_b[0] - prev_b[0]) <= self.quad_rel * (abs(cur_b[0]) + 1e-14 * scale_b)
-            if (ok_a or not want_alpha) and (ok_b or want_alpha):
-                return complex(cur_a[0]) if want_alpha else float(cur_b[0])
-            prev_a, prev_b = cur_a, cur_b
-        raise QuadratureError(
-            f"quadrature did not converge to {self.quad_rel:g} for delta={delta:g} rad/s"
-        )
+    def alpha_and_phase_many(
+        self, deltas, panels: int | None = None, *, shifts=None, alpha: bool = True, derivatives: int = 0
+    ):
+        """alpha(tau) and B(tau) for an array of detunings (rad/s).
 
-    def alpha(self, delta: float) -> complex:
-        """alpha(tau) for one detuning, accuracy verified by panel doubling.
-
-        The square pulse uses its closed form (the quadrature path is
-        checked against it in the test suite instead).
+        With ``shifts`` (J values) the detunings are the product grid
+        deltas[k] + shifts[j] and the results have shape (J,) + deltas.shape;
+        otherwise they have the shape of ``deltas``. ``alpha=False``
+        returns None for alpha and skips its transform. ``derivatives``
+        (0, 1 or 2) appends dB/d delta and then d2B/d delta^2 to the result.
         """
-        if isinstance(self.pulse, SquarePulse):
-            return square_alpha_closed_form(self.pulse.omega0, self.pulse.tau, delta)
-        return self._refined(delta, want_alpha=True)
-
-    def entangling_phase(self, delta: float) -> float:
-        """B(tau) for one detuning, accuracy verified by panel doubling."""
-        return self._refined(delta, want_alpha=False)
+        deltas = np.asarray(deltas, dtype=float)
+        shape = deltas.shape
+        if shifts is not None:
+            shifts = np.atleast_1d(np.asarray(shifts, dtype=float)).ravel()
+            shape = shifts.shape + shape
+        rows = slice(0 if alpha else 1, 2 + derivatives)  # table rows: Omega, R, t R, t^2 R
+        table = self._table(panels or self.panels)
+        f = self._transform(deltas.ravel(), shifts, table, rows)
+        lag = f[..., 1 if alpha else 0 :]
+        out = [1j * f[..., 0].conj().reshape(shape) if alpha else None, lag[..., 0].imag.reshape(shape)]
+        if derivatives >= 1:
+            out.append(lag[..., 1].real.reshape(shape))
+        if derivatives >= 2:
+            out.append(-lag[..., 2].imag.reshape(shape))
+        return tuple(out)
 
     def trajectory_path(self, delta: float, n_samples: int) -> np.ndarray:
         """alpha(t) sampled at n_samples uniform times across [0, tau].
 
         Diagnostic resolution: each partial integral re-runs the panel
-        quadrature on [0, t], so the endpoint matches ``alpha``.
+        quadrature on [0, t], so the endpoint matches the table's alpha.
         """
         if n_samples < 2:
             raise ValueError("need at least two samples")
@@ -212,22 +218,35 @@ class TrajectoryEngine:
         times = np.linspace(0.0, tau, int(n_samples))
         out = np.empty(times.size, dtype=complex)
         out[0] = 0.0
-        nodes, weights = self._nodes, self._weights
         for s, t in enumerate(times[1:], start=1):
             panels = max(1, int(np.ceil(self.panels * t / tau)))
             h = t / panels
-            starts = h * np.arange(panels)
-            off = h * (nodes + 1.0) / 2.0
-            pts = starts[:, None] + off[None, :]
+            pts = (h * np.arange(panels))[:, None] + (h * (_GL_NODES + 1.0) / 2.0)[None, :]
             om = self.pulse.amplitude(pts)
-            out[s] = 1j * np.sum((h / 2.0) * weights[None, :] * om * np.exp(-1j * delta * pts))
+            out[s] = 1j * np.sum((h / 2.0) * _GL_WEIGHTS[None, :] * om * np.exp(-1j * delta * pts))
         return out
 
 
-@lru_cache(maxsize=128)
-def engine_for(pulse: PulseShape, panels: int = DEFAULT_PANELS, quad_rel: float = 1e-10):
+@lru_cache(maxsize=32)
+def engine_for(pulse: PulseShape, panels: int = DEFAULT_PANELS):
     """Shared engine cache; pulses are frozen dataclasses, hence hashable."""
-    return TrajectoryEngine(pulse, panels=panels, quad_rel=quad_rel)
+    return TrajectoryEngine(pulse, panels=panels)
+
+
+def gate_integrals(
+    pulse: PulseShape, deltas, shifts=None, panels=DEFAULT_PANELS, alpha=True, derivatives=0
+):
+    """``alpha_and_phase_many`` of ``pulse`` through the shape's shared table.
+
+    The table is built for the shape at unit peak Rabi rate, so every
+    pulse that differs only in omega0 shares one engine; alpha is then
+    scaled by omega0 and B and its derivatives by omega0^2.
+    """
+    unit = engine_for(pulse.with_omega0(1.0), panels)
+    out = unit.alpha_and_phase_many(deltas, shifts=shifts, alpha=alpha, derivatives=derivatives)
+    scale = pulse.omega0
+    alphas = None if out[0] is None else scale * out[0]
+    return (alphas,) + tuple(scale * scale * x for x in out[1:])
 
 
 def mode_trajectory(
@@ -238,7 +257,7 @@ def mode_trajectory(
 ) -> Trajectory:
     """End-of-gate alpha_k and B_k for every mode of the coupling."""
     deltas = ctx.sideband_detunings(coupling.freqs)
-    alphas, phases = engine_for(pulse, panels).alpha_and_phase_many(deltas)
+    alphas, phases = gate_integrals(pulse, deltas, panels=panels)
     return Trajectory(detunings=deltas, alphas=alphas, phases=phases)
 
 
@@ -250,44 +269,28 @@ def check_resonance(deltas: np.ndarray, guard: float = RESONANCE_GUARD) -> None:
         )
 
 
-def rotation_angle(
-    coupling: GateCoupling,
-    pulse: PulseShape,
-    ctx: DetuningContext,
-    panels: int = DEFAULT_PANELS,
-) -> float:
-    """theta = sum_k eta1_k eta2_k B_k(tau)."""
-    deltas = ctx.sideband_detunings(coupling.freqs)
-    _, phases = engine_for(pulse, panels).alpha_and_phase_many(deltas)
-    return float(coupling.eta_products @ phases)
-
-
 def phase_and_derivative(
     coupling: GateCoupling,
     pulse: PulseShape,
     ctx: DetuningContext,
     second: bool = False,
     panels: int = DEFAULT_PANELS,
-    fd_step: float = FD_STEP,
 ) -> PhaseResult:
-    """Rotation angle and its carrier-detuning derivative(s).
+    """Rotation angle and its analytic carrier-detuning derivative(s).
 
-    The derivative uses a symmetric central difference, evaluated in one
-    batched quadrature call; ``second`` adds the 3-point second
-    difference. Raises ResonanceError if any shifted detuning comes
-    within the guard band of a mode.
+    dtheta/d delta_c = sum_k eta1_k eta2_k dB/d delta at delta_k, from the
+    s R(s) transform; ``second`` adds the s^2 R(s) transform. Raises
+    ResonanceError if any shifted detuning comes within the guard band of
+    a mode.
     """
     deltas = ctx.sideband_detunings(coupling.freqs)
     check_resonance(deltas)
-    stacked = np.concatenate([deltas, deltas + fd_step, deltas - fd_step])
-    _, phases = engine_for(pulse, panels).alpha_and_phase_many(stacked)
-    n = coupling.n_modes
+    _, phases, *slopes = gate_integrals(
+        pulse, deltas, panels=panels, alpha=False, derivatives=2 if second else 1
+    )
     products = coupling.eta_products
-    theta0 = float(products @ phases[:n])
-    theta_plus = float(products @ phases[n : 2 * n])
-    theta_minus = float(products @ phases[2 * n :])
-    dtheta = (theta_plus - theta_minus) / (2.0 * fd_step)
-    d2theta = None
-    if second:
-        d2theta = (theta_plus - 2.0 * theta0 + theta_minus) / fd_step**2
-    return PhaseResult(theta=theta0, dtheta_ddelta_c=dtheta, d2theta_ddelta_c2=d2theta)
+    return PhaseResult(
+        theta=float(products @ phases),
+        dtheta_ddelta_c=float(products @ slopes[0]),
+        d2theta_ddelta_c2=float(products @ slopes[1]) if second else None,
+    )

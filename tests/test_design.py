@@ -103,6 +103,33 @@ def test_same_sign_products_raise_bracket_error():
     assert str(err.value).count("f(") == 2
 
 
+def test_even_bracket_falls_back_to_scan(ref_config):
+    # contour column z = 6.67 us: the initial ends hold the sign changes at
+    # 34.7 and 71.9 kHz above nu1, so the bracket alone finds no root
+    z = 5e-6 + 3 * 55e-6 / 99
+    cfg = replace(ref_config, pulse=replace(ref_config.pulse, z_s=z))
+    chain = build_chain(cfg)
+    coupling = build_coupling(cfg, chain)
+    pulse = make_pulse(cfg.pulse)
+    nu1 = coupling.freqs[coupling.flat_index("radial_b", 0)]
+    root = solve_balance(coupling, pulse, 0, 1)
+    assert angular_to_hz(root - nu1) == pytest.approx(34.7e3, abs=0.1e3)
+    assert abs(phase_and_derivative(coupling, pulse, DetuningContext(root)).dtheta_ddelta_c) <= 1e-9
+    design = design_gate(cfg)
+    assert design.delta_c == root
+    assert abs(design.theta - np.pi / 2) <= 1e-12
+
+
+def test_one_engine_per_design(ref_config):
+    from msgate.trajectory import engine_for
+
+    cfg = replace(ref_config, pulse=replace(ref_config.pulse, z_s=26.3e-6))
+    before = engine_for.cache_info().misses
+    design = design_gate(cfg)
+    assert design.pulse.omega0 != hz_to_angular(cfg.pulse.omega0_hz)
+    assert engine_for.cache_info().misses == before + 1
+
+
 def test_calibration_quadratic_step(ref_config):
     chain = build_chain(ref_config)
     coupling = build_coupling(ref_config, chain)

@@ -1,31 +1,7 @@
 import numpy as np
 import pytest
 
-from msgate.numerics import NaturalCubicSpline, brent, golden_section_min, jacobi_eigh
-
-
-def test_jacobi_matches_lapack():
-    rng = np.random.default_rng(42)
-    for n in (2, 5, 16, 33):
-        a = rng.normal(size=(n, n))
-        a = (a + a.T) / 2
-        w, v = jacobi_eigh(a)
-        w_ref = np.linalg.eigvalsh(a)
-        np.testing.assert_allclose(w, w_ref, atol=1e-10 * max(1, np.abs(w_ref).max()))
-        # eigenvector property and orthonormality
-        np.testing.assert_allclose(a @ v, v @ np.diag(w), atol=1e-9)
-        np.testing.assert_allclose(v.T @ v, np.eye(n), atol=1e-10)
-
-
-def test_jacobi_rejects_asymmetric():
-    with pytest.raises(ValueError):
-        jacobi_eigh(np.array([[1.0, 2.0], [0.0, 1.0]]))
-
-
-def test_jacobi_ascending():
-    a = np.diag([3.0, -1.0, 2.0])
-    w, _ = jacobi_eigh(a)
-    np.testing.assert_allclose(w, [-1.0, 2.0, 3.0])
+from msgate.numerics import NaturalCubicSpline, brent, golden_section_min
 
 
 def test_brent_polynomial_root():

@@ -120,6 +120,19 @@ def test_chain_study_records_failures(ref_config_module):
     assert curves.rows == []
 
 
+def test_programming_errors_are_not_status_rows(ref_config_module, monkeypatch):
+    import msgate.sweeps
+
+    def broken(config, *args, **kwargs):  # a caller bug, not a domain error
+        raise ValueError("k1 must be the lower-frequency mode")
+
+    monkeypatch.setattr(msgate.sweeps, "design_gate", broken)
+    with pytest.raises(ValueError):
+        contour(ref_config_module, z_steps=2, domega_steps=2)
+    with pytest.raises(ValueError):
+        chain_study(ref_config_module, dx0_list_m=[3.5e-6], n_list=[2], domega_step_hz=5e3)
+
+
 def test_parity_rows_and_estimate(ref_config_module):
     result = parity_study(ref_config_module, phi_steps=64)
     assert len(result.rows) == 64

@@ -116,8 +116,7 @@ def test_single_point_api_verified():
     pulse = TruncGaussianPulse(omega0=1.2e6, tau=TAU, z=25e-6)
     eng = TrajectoryEngine(pulse)
     d = TWO_PI * 37e3
-    a = eng.alpha(d)
-    b = eng.entangling_phase(d)
+    a, b = eng.alpha_and_phase_many(d)
     a_ref, b_ref = eng.alpha_and_phase_many([d], panels=4096)
     assert a == pytest.approx(a_ref[0], rel=1e-10)
     assert b == pytest.approx(b_ref[0], rel=1e-10)
@@ -156,7 +155,8 @@ def test_trajectory_path():
     g = TruncGaussianPulse(omega0=1.0e6, tau=TAU, z=25e-6)
     ge = TrajectoryEngine(g)
     path_g = ge.trajectory_path(TWO_PI * 37e3, 17)
-    assert path_g[-1] == pytest.approx(ge.alpha(TWO_PI * 37e3), abs=1e-9 * abs(ge.alpha(TWO_PI * 37e3)) + 1e-12)
+    a_end = ge.alpha_and_phase_many(TWO_PI * 37e3)[0]
+    assert path_g[-1] == pytest.approx(a_end, abs=1e-9 * abs(a_end) + 1e-12)
     with pytest.raises(ValueError):
         eng.trajectory_path(d, 1)
 
@@ -203,3 +203,100 @@ def test_detuning_context_shift():
     traj = mode_trajectory(coupling, TruncGaussianPulse(omega0=1e6, tau=TAU, z=25e-6), ctx)
     assert traj.alphas.shape == (2,)
     assert traj.phases.shape == (2,)
+
+
+def _square_slope(omega0, tau, delta):
+    """dB/d delta of the square pulse, from its closed form."""
+    x = delta * tau
+    if abs(x) < 1e-3:
+        return omega0**2 * tau**3 * (1.0 / 6.0 - x * x / 40.0)
+    return omega0**2 * tau**3 * ((1.0 - np.cos(x)) / x**2 - 2.0 * (x - np.sin(x)) / x**3)
+
+
+def test_square_transforms_match_closed_forms_near_zero():
+    omega0 = 1.1e6
+    eng = TrajectoryEngine(SquarePulse(omega0=omega0, tau=TAU))
+    deltas = np.array([0.0, 1e-4 / TAU, -5e-4 / TAU, 0.9e-3 / TAU, TWO_PI * 5e3, -TWO_PI * 90e3])
+    alphas, phases, slopes = eng.alpha_and_phase_many(deltas, derivatives=1)
+    for d, a, b, db in zip(deltas, alphas, phases, slopes):
+        assert a == pytest.approx(square_alpha_closed_form(omega0, TAU, d), rel=1e-12)
+        assert db == pytest.approx(_square_slope(omega0, TAU, d), rel=1e-11)
+        if d == 0.0:
+            assert b == 0.0
+        else:
+            assert b == pytest.approx(square_phase_closed_form(omega0, TAU, d), rel=1e-11)
+
+
+def test_analytic_derivatives_match_differences_of_theta():
+    coupling = _toy_coupling()
+    ctx_of = lambda d: DetuningContext(delta_c=TWO_PI * 2.05e6 + d)
+    h = TWO_PI * 20.0
+    for pulse in (
+        TruncGaussianPulse(omega0=0.8e6, tau=TAU, z=25e-6),
+        spline_gaussian(0.8e6, TAU, 18e-6, 9),
+        SquarePulse(omega0=0.8e6, tau=TAU),
+    ):
+        res = phase_and_derivative(coupling, pulse, ctx_of(0.0), second=True)
+        theta = {k: phase_and_derivative(coupling, pulse, ctx_of(k * h / 2)).theta
+                 for k in (-2, -1, 1, 2)}
+        # central differences at steps h and h/2, Richardson-extrapolated
+        d1 = (4 * (theta[1] - theta[-1]) / h - (theta[2] - theta[-2]) / (2 * h)) / 3
+        d2 = (4 * (theta[1] - 2 * res.theta + theta[-1]) / (h / 2) ** 2
+              - (theta[2] - 2 * res.theta + theta[-2]) / h**2) / 3
+        assert res.dtheta_ddelta_c == pytest.approx(d1, rel=1e-7)
+        assert res.d2theta_ddelta_c2 == pytest.approx(d2, rel=1e-5)
+
+
+def test_separable_batch_equals_pointwise():
+    for pulse in (TruncGaussianPulse(omega0=1.2e6, tau=TAU, z=25e-6), spline_gaussian(1.2e6, TAU, 25e-6)):
+        eng = TrajectoryEngine(pulse)
+        modes = TWO_PI * np.array([-130e3, -41e3, 0.0, 17e3, 260e3])
+        grid = TWO_PI * np.linspace(-10e3, 10e3, 7)
+        batch = eng.alpha_and_phase_many(modes, shifts=grid, derivatives=2)
+        point = eng.alpha_and_phase_many(modes[None, :] + grid[:, None], derivatives=2)
+        for got, want in zip(batch, point):
+            assert got.shape == (grid.size, modes.size)
+            np.testing.assert_allclose(got, want, rtol=0, atol=1e-12 * np.abs(want).max())
+        alone = eng.alpha_and_phase_many(modes[1] + grid[3])
+        assert batch[0][3, 1] == pytest.approx(alone[0], rel=1e-12)
+        assert batch[1][3, 1] == pytest.approx(alone[1], rel=1e-12)
+
+
+def test_one_engine_per_shape_across_omega0():
+    from msgate.trajectory import gate_integrals
+
+    trial = TruncGaussianPulse(omega0=0.77e6, tau=TAU, z=23.7e-6)
+    deltas = TWO_PI * np.array([8e3, 52e3])
+    before = engine_for.cache_info().misses
+    a1, b1 = gate_integrals(trial, deltas)
+    a2, b2 = gate_integrals(trial.with_omega0(2.5 * trial.omega0), deltas)
+    assert engine_for.cache_info().misses == before + 1
+    np.testing.assert_allclose(a2, 2.5 * a1, rtol=1e-14)
+    np.testing.assert_allclose(b2, 2.5**2 * b1, rtol=1e-14)
+    a_own, b_own = engine_for(trial).alpha_and_phase_many(deltas)
+    np.testing.assert_allclose(a1, a_own, rtol=0, atol=1e-14 * np.abs(a_own).max())
+    np.testing.assert_allclose(b1, b_own, rtol=0, atol=1e-14 * np.abs(b_own).max())
+
+
+def _dense_autocorrelation(pulse, s, panels=4000):
+    nodes, weights = np.polynomial.legendre.leggauss(10)
+    h = (pulse.tau - s) / panels
+    t = s + h * (np.arange(panels)[:, None] + (nodes[None, :] + 1.0) / 2.0)
+    return float(np.sum(h / 2.0 * weights * pulse.amplitude(t) * pulse.amplitude(t - s)))
+
+
+def test_autocorrelation_against_dense_quadrature():
+    for pulse in (
+        SquarePulse(omega0=1.3e6, tau=TAU),
+        TruncGaussianPulse(omega0=1.3e6, tau=TAU, z=25e-6),
+        TruncGaussianPulse(omega0=1.3e6, tau=TAU, z=6e-6),
+        spline_gaussian(1.3e6, TAU, 25e-6, 13),
+        spline_gaussian(1.3e6, TAU, 40e-6, 6),
+    ):
+        knot = TAU / max(pulse.pieces, 4)
+        lags = np.array([0.0, 0.37 * knot, knot, 1.61 * knot, 2.0 * knot, 0.5 * TAU, 0.93 * TAU])
+        got = pulse.autocorrelation(lags)
+        want = [_dense_autocorrelation(pulse, s) for s in lags]
+        scale = _dense_autocorrelation(pulse, 0.0)
+        np.testing.assert_allclose(got, want, rtol=0, atol=1e-12 * scale)
+        assert pulse.autocorrelation(TAU) == pytest.approx(0.0, abs=1e-13 * scale)
