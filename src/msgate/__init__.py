@@ -23,17 +23,15 @@ from .config import (
 from .design import (
     BracketError,
     GateDesign,
+    breakdown_curve,
     calibrate_omega0,
     design_gate,
-    evaluate_with_error,
     midpoint_guess,
     sensitivity,
     solve_balance,
 )
 from .errors import (
-    ErrorBreakdown,
     displacement_error,
-    error_breakdown,
     exact_fidelity,
     parity_scan,
     reduced_density_matrix,

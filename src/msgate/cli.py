@@ -1,9 +1,11 @@
 """Command-line driver for gate design and the numerical studies.
 
 Subcommands: design, sweep-detuning, contour, chain-study, parity,
-oracle. All take --config pointing at a JSON system description; sweeps
-write CSV to --out (default stdout) and accept --workers for parallel
-grid evaluation.
+oracle. All take --config pointing at a JSON system description and write
+to --out (default stdout). contour and chain-study also accept --workers
+to spread their grid over a process pool. Domain failures (no balance
+bracket, unstable or degenerate modes, a drive on resonance, too small a
+Fock cutoff) print ``error: ...`` and exit with status 1.
 """
 
 from __future__ import annotations
@@ -13,16 +15,16 @@ import sys
 from dataclasses import replace
 
 from .config import ConfigError, angular_to_hz, hz_to_angular, load_config
-from .design import BracketError, design_gate
-from .modes import ZigZagInstabilityError
+from .design import design_gate
 from .oracle import CutoffError, OracleSpec, run_oracle
-from .sweeps import chain_study, contour, parity_study, sweep_detuning
+from .sweeps import DOMAIN_ERRORS, chain_study, contour, parity_study, sweep_detuning
 
 
-def _add_common(parser):
+def _add_common(parser, workers: bool = False):
     parser.add_argument("--config", required=True, help="path to the JSON system config")
     parser.add_argument("--out", default=None, help="output path (default: stdout)")
-    parser.add_argument("--workers", type=int, default=1, help="parallel grid workers")
+    if workers:
+        parser.add_argument("--workers", type=int, default=1, help="parallel grid workers")
 
 
 def _emit(text: str, out):
@@ -70,7 +72,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--unbalanced-delta0-khz", type=float, default=-40.0)
 
     p = sub.add_parser("contour", help="eps_s over the (Gaussian width, frequency error) plane")
-    _add_common(p)
+    _add_common(p, workers=True)
     p.add_argument("--z-min-us", type=float, default=5.0)
     p.add_argument("--z-max-us", type=float, default=60.0)
     p.add_argument("--z-steps", type=int, default=100)
@@ -78,7 +80,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--domega-steps", type=int, default=100)
 
     p = sub.add_parser("chain-study", help="designs and robustness across chain lengths")
-    _add_common(p)
+    _add_common(p, workers=True)
     p.add_argument("--n", default="2-33", help="chain lengths, e.g. 2-33 or 2,3,5")
     p.add_argument("--dx0-um", default="3.0", help="comma list of centre spacings in um")
     p.add_argument("--domega-khz", type=float, default=10.0)
@@ -177,7 +179,7 @@ def main(argv=None) -> int:
                 *report.summary_lines(),
             ]
             _emit("\n".join(lines) + "\n", args.out)
-    except (ConfigError, BracketError, ZigZagInstabilityError, CutoffError) as exc:
+    except DOMAIN_ERRORS + (CutoffError,) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     return 0

@@ -200,9 +200,6 @@ class SystemConfig:
         blob = json.dumps(self.to_dict(), sort_keys=True).encode()
         return hashlib.sha256(blob).hexdigest()[:12]
 
-    def save(self, path) -> None:
-        Path(path).write_text(json.dumps(self.to_dict(), indent=2, sort_keys=True) + "\n")
-
 
 def default_target_pair(n_ions: int) -> tuple[int, int]:
     """The two ions immediately left and right of the chain centre.

@@ -20,25 +20,16 @@ import numpy as np
 
 from .chain import IonChain, build_chain
 from .config import TWO_PI, SystemConfig, angular_to_hz, hz_to_angular
-from .errors import (
-    ErrorBreakdown,
-    displacement_error,
-    error_breakdown,
-    exact_fidelity,
-    rotation_error,
-    spin_eigensystem,
-)
+from .errors import displacement_error, exact_fidelity, rotation_error, spin_eigensystem
 from .modes import GateCoupling, build_coupling
 from .numerics import brent, golden_section_min
 from .pulses import PulseShape, make_pulse
 from .trajectory import (
-    DEFAULT_PANELS,
     RESONANCE_GUARD,
     DetuningContext,
     Trajectory,
     check_resonance,
     gate_integrals,
-    mode_trajectory,
     phase_and_derivative,
 )
 
@@ -121,12 +112,11 @@ def _margin_floor(pulse: PulseShape, gap: float) -> float:
     return max(1.2 / z if z else 1e-3 * gap, TWO_PI * 400.0)
 
 
-def _theta_slopes(coupling: GateCoupling, pulse: PulseShape, delta_cs, panels: int) -> np.ndarray:
+def _theta_slopes(coupling: GateCoupling, pulse: PulseShape, delta_cs) -> np.ndarray:
     """d theta / d delta_c at every carrier detuning of ``delta_cs``, in one batch."""
     ref = coupling.freqs[0]
     _, _, slopes = gate_integrals(
-        pulse, ref - coupling.freqs, shifts=np.asarray(delta_cs) - ref, panels=panels,
-        alpha=False, derivatives=1,
+        pulse, ref - coupling.freqs, shifts=np.asarray(delta_cs) - ref, alpha=False, derivatives=1
     )
     return slopes @ coupling.eta_products
 
@@ -138,7 +128,6 @@ def solve_balance(
     k2: int,
     direction: str = "radial_b",
     root_tol: float = TWO_PI * 1.0,
-    panels: int = DEFAULT_PANELS,
 ) -> float:
     """Carrier detuning between modes k1 < k2 where d theta/d delta_c = 0.
 
@@ -157,10 +146,7 @@ def solve_balance(
     gap = nu2 - nu1
 
     def dtheta(delta_c: float) -> float:
-        res = phase_and_derivative(
-            coupling, pulse, DetuningContext(delta_c), panels=panels
-        )
-        return res.dtheta_ddelta_c
+        return phase_and_derivative(coupling, pulse, DetuningContext(delta_c)).dtheta_ddelta_c
 
     margin = _bracket_margin(pulse, gap)
     a, b = nu1 + margin, nu2 - margin
@@ -170,7 +156,7 @@ def solve_balance(
         # about six samples per 2 pi / tau, the ripple period of the finite window
         n_scan = max(33, int(np.ceil((gap - 2.0 * floor) * pulse.tau)) + 1)
         grid = np.linspace(nu1 + floor, nu2 - floor, n_scan) if 2.0 * floor < gap else np.empty(0)
-        signs = np.sign(_theta_slopes(coupling, pulse, grid, panels))
+        signs = np.sign(_theta_slopes(coupling, pulse, grid))
         changes = np.flatnonzero(signs[:-1] != signs[1:])
         if not changes.size:
             raise BracketError(
@@ -188,10 +174,7 @@ def solve_balance(
 
 
 def calibrate_omega0(
-    coupling: GateCoupling,
-    pulse: PulseShape,
-    delta_c: float,
-    panels: int = DEFAULT_PANELS,
+    coupling: GateCoupling, pulse: PulseShape, delta_c: float
 ) -> tuple[PulseShape, float]:
     """Rescale the peak Rabi rate so |theta| = pi/2, exactly in one step.
 
@@ -200,7 +183,7 @@ def calibrate_omega0(
     pulse and the achieved (signed) theta.
     """
     deltas = DetuningContext(delta_c).sideband_detunings(coupling.freqs)
-    _, phases = gate_integrals(pulse, deltas, panels=panels, alpha=False)
+    _, phases = gate_integrals(pulse, deltas, alpha=False)
     theta_trial = float(coupling.eta_products @ phases)
     if theta_trial == 0.0:
         raise ValueError("trial rotation angle is zero; cannot calibrate omega0")
@@ -223,23 +206,17 @@ def design_gate(
     normalised to +pi/2; when the calibrated angle comes out negative
     the differential-phase flip on the second ion is toggled, which
     flips theta exactly and leaves the displacement error untouched.
+    Raises ResonanceError when the design detuning sits on a mode.
     """
     chain = build_chain(config)
     coupling = build_coupling(config, chain)
     pulse = make_pulse(config.pulse)
-    panels = DEFAULT_PANELS
     k1, k2 = target_modes
 
     bracket_note = None
     if delta0_override is None:
         delta_c = solve_balance(
-            coupling,
-            pulse,
-            k1,
-            k2,
-            direction=direction,
-            root_tol=hz_to_angular(config.tol.root_hz),
-            panels=panels,
+            coupling, pulse, k1, k2, direction=direction, root_tol=hz_to_angular(config.tol.root_hz)
         )
         nu1 = coupling.freqs[coupling.flat_index(direction, k1)]
         nu2 = coupling.freqs[coupling.flat_index(direction, k2)]
@@ -250,26 +227,24 @@ def design_gate(
         )
         delta_c = lowest + delta0_override
 
-    pulse, theta = calibrate_omega0(coupling, pulse, delta_c, panels=panels)
+    deltas = DetuningContext(delta_c).sideband_detunings(coupling.freqs)
+    check_resonance(deltas)
+    pulse, theta = calibrate_omega0(coupling, pulse, delta_c)
     if theta < 0.0:
         coupling = coupling.flipped()
         theta = -theta
 
-    res = phase_and_derivative(
-        coupling, pulse, DetuningContext(delta_c), second=True, panels=panels
-    )
-    breakdown = error_breakdown(
-        coupling, mode_trajectory(coupling, pulse, DetuningContext(delta_c), panels=panels)
-    )
+    alphas, phases, slopes, curvatures = gate_integrals(pulse, deltas, derivatives=2)
+    eps_d, eps_r, fidelity = _error_budget(coupling, alphas, phases)
     diagnostics = {
-        "dtheta_ddelta_c": res.dtheta_ddelta_c,
-        "d2theta_ddelta_c2": res.d2theta_ddelta_c2,
+        "dtheta_ddelta_c": float(coupling.eta_products @ slopes),
+        "d2theta_ddelta_c2": float(coupling.eta_products @ curvatures),
         "bracket_hz": bracket_note,
         "balanced": delta0_override is None,
-        "eps_d": breakdown.eps_d,
-        "eps_r": breakdown.eps_r,
-        "eps_s": breakdown.eps_s,
-        "fidelity": breakdown.fidelity,
+        "eps_d": eps_d,
+        "eps_r": eps_r,
+        "eps_s": eps_d + eps_r,
+        "fidelity": fidelity,
     }
     return GateDesign(
         coupling=coupling,
@@ -282,18 +257,20 @@ def design_gate(
     )
 
 
-def evaluate_with_error(
-    design: GateDesign, domega: float, with_rho: bool = True, panels: int = DEFAULT_PANELS
-) -> ErrorBreakdown:
-    """Error breakdown of a fixed design under a symmetric frequency error.
+def _error_budget(coupling: GateCoupling, alphas, phases, with_fidelity: bool = True):
+    """eps_d, eps_r and the exact fidelity from (..., K) end-of-gate alpha and B.
 
-    Raises ResonanceError when the shifted drive lands on a mode;
-    ``breakdown_curve`` flags such points instead.
+    Without ``with_fidelity`` the fidelity is NaN of the same shape. Each
+    theta = sum_k eta1_k eta2_k B_k is one row-by-vector dot product, summed
+    in the same order as for a single K-vector, so a grid point's figures
+    do not depend on the grid around it.
     """
-    ctx = DetuningContext(design.delta_c, domega)
-    check_resonance(ctx.sideband_detunings(design.coupling.freqs))
-    traj = mode_trajectory(design.coupling, design.pulse, ctx, panels=panels)
-    return error_breakdown(design.coupling, traj, with_rho=with_rho)
+    eigsys = spin_eigensystem(coupling)
+    traj = Trajectory(alphas=alphas, phases=phases)
+    _, eps_d = displacement_error(eigsys, traj)
+    eps_r = rotation_error((phases[..., None, :] @ coupling.eta_products[:, None])[..., 0, 0])
+    fidelity = exact_fidelity(eigsys, traj) if with_fidelity else np.full(np.shape(eps_d), np.nan)
+    return eps_d, eps_r, fidelity
 
 
 @dataclass(frozen=True)
@@ -311,41 +288,27 @@ class BreakdownCurve:
         return self.eps_d + self.eps_r
 
 
-def breakdown_curve(
-    design: GateDesign, domegas, with_fidelity: bool = True, panels: int = DEFAULT_PANELS
-) -> BreakdownCurve:
+def breakdown_curve(design: GateDesign, domegas, with_fidelity: bool = True) -> BreakdownCurve:
     """eps_d / eps_r / fidelity over an array of frequency errors.
 
     All (grid-point, mode) pairs go through the quadrature as one
-    separable batch. Points where a shifted detuning falls inside the
-    resonance guard are still evaluated (the quadrature is regular
-    there) but flagged.
+    separable batch and the error budget takes the (grid, modes) arrays
+    whole. Points where a shifted detuning falls inside the resonance
+    guard are still evaluated (the quadrature is regular there) but
+    flagged; ``design_gate`` instead raises ResonanceError at its
+    design point.
     """
     domegas = np.asarray(domegas, dtype=float)
     base = design.delta_c - design.coupling.freqs
-    deltas = base[None, :] + domegas[:, None]
-    alphas, phases = gate_integrals(design.pulse, base, shifts=domegas, panels=panels)
-    eigsys = spin_eigensystem(design.coupling)
-    products = design.coupling.eta_products
-
-    n = domegas.size
-    eps_d = np.empty(n)
-    eps_r = np.empty(n)
-    fid = np.full(n, np.nan)
-    for i in range(n):
-        traj = Trajectory(detunings=deltas[i], alphas=alphas[i], phases=phases[i])
-        _, eps_d[i] = displacement_error(eigsys, traj)
-        eps_r[i] = rotation_error(float(products @ phases[i]))
-        if with_fidelity:
-            fid[i] = exact_fidelity(eigsys, traj)
-    flags = np.any(np.abs(deltas) < RESONANCE_GUARD, axis=1)
+    alphas, phases = gate_integrals(design.pulse, base, shifts=domegas)
+    eps_d, eps_r, fid = _error_budget(design.coupling, alphas, phases, with_fidelity)
+    flags = np.any(np.abs(base[None, :] + domegas[:, None]) < RESONANCE_GUARD, axis=1)
     return BreakdownCurve(domegas=domegas, eps_d=eps_d, eps_r=eps_r, fidelity=fid, flags=flags)
 
 
-def eps_s_curve(design: GateDesign, domegas, panels: int = DEFAULT_PANELS) -> np.ndarray:
+def eps_s_curve(design: GateDesign, domegas) -> np.ndarray:
     """eps_s over an array of frequency errors, batched over modes x grid."""
-    curve = breakdown_curve(design, domegas, with_fidelity=False, panels=panels)
-    return curve.eps_s
+    return breakdown_curve(design, domegas, with_fidelity=False).eps_s
 
 
 def sensitivity(

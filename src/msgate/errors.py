@@ -9,6 +9,10 @@ phase exp(-i B_k lambda^2).
 
 The target state is (|00> + i|11>)/sqrt(2) together with all modes back
 in their motional ground state.
+
+The error functions take a trajectory whose alphas and phases have shape
+(..., K) for K modes and broadcast over the leading axes, so a whole grid
+of frequency errors is one call; a plain K-vector gives plain floats.
 """
 
 from __future__ import annotations
@@ -71,34 +75,47 @@ def displacement_error(eigsys: SpinEigensystem, trajectory: Trajectory):
     eps_{d,k} = 1 - | (1/4) sum_branches exp(-|lambda alpha_k|^2 / 2) |^2,
     evaluated via the per-branch deficits 1 - exp(-x) so the tiny errors
     of a well-closed trajectory keep full relative precision.
+
+    Broadcasts over the leading axes of a (..., K) trajectory: per_mode
+    has its shape and the total drops the mode axis (a float for K-vectors).
     """
-    if trajectory.alphas.size != eigsys.n_modes:
+    if trajectory.alphas.shape[-1] != eigsys.n_modes:
         raise ValueError("trajectory and eigensystem cover different mode sets")
-    mag2 = (eigsys.eigenvalues * np.abs(trajectory.alphas)[:, None]) ** 2
-    deficit = -np.expm1(-mag2 / 2.0).mean(axis=1)  # 1 - mean overlap
+    mag2 = (np.abs(trajectory.alphas)[..., None] * eigsys.eigenvalues) ** 2
+    deficit = -np.expm1(-mag2 / 2.0).mean(axis=-1)  # 1 - mean overlap
     per_mode = deficit * (2.0 - deficit)
-    return per_mode, float(per_mode.sum())
+    return per_mode, _scalar(per_mode.sum(axis=-1))
 
 
-def rotation_error(theta: float) -> float:
-    """eps_r = |theta - pi/2|^2 / 4."""
-    return float(abs(theta - np.pi / 2.0) ** 2 / 4.0)
+def rotation_error(theta):
+    """eps_r = |theta - pi/2|^2 / 4, elementwise for an array of angles.
+
+    Squared by one multiplication for scalars and arrays alike, so an angle
+    gets the same eps_r alone and inside a grid.
+    """
+    return _scalar(np.square(np.asarray(theta, dtype=float) - np.pi / 2.0) / 4.0)
 
 
-def exact_fidelity(eigsys: SpinEigensystem, trajectory: Trajectory) -> float:
+def exact_fidelity(eigsys: SpinEigensystem, trajectory: Trajectory):
     """|<Phi| Psi(tau)>|^2 with every mode starting in its ground state.
 
     Branch s keeps amplitude <s|00> times, per mode, the phase
     exp(-i B_k lambda^2) and the ground-state overlap
-    exp(-|lambda alpha_k|^2 / 2) of the displaced mode.
+    exp(-|lambda alpha_k|^2 / 2) of the displaced mode. Broadcasts over
+    the leading axes of a (..., K) trajectory (a float for K-vectors).
     """
     lam = eigsys.eigenvalues
-    branch_log = -1j * trajectory.phases[:, None] * lam**2 - 0.5 * (
-        lam * np.abs(trajectory.alphas)[:, None]
+    branch_log = -1j * trajectory.phases[..., None] * lam**2 - 0.5 * (
+        lam * np.abs(trajectory.alphas)[..., None]
     ) ** 2
-    branch = np.exp(branch_log.sum(axis=0))
-    amp = np.sum(eigsys.target.conj() * eigsys.initial * branch)
-    return float(np.abs(amp) ** 2)
+    branch = np.exp(branch_log.sum(axis=-2))
+    amp = np.sum(eigsys.target.conj() * eigsys.initial * branch, axis=-1)
+    return _scalar(np.square(np.abs(amp)))
+
+
+def _scalar(values):
+    """A 0-d result as a Python float, anything larger unchanged."""
+    return float(values) if np.ndim(values) == 0 else values
 
 
 def reduced_density_matrix(eigsys: SpinEigensystem, trajectory: Trajectory) -> np.ndarray:
@@ -178,37 +195,4 @@ def parity_scan(rho: np.ndarray, phis) -> ParityScan:
         phase=float(np.arctan2(b, a)),
         offset=float(c),
         degenerate=degenerate,
-    )
-
-
-@dataclass(frozen=True)
-class ErrorBreakdown:
-    """Displacement / rotation error split plus the exact figures."""
-
-    eps_d_per_mode: np.ndarray = field(repr=False)
-    eps_d: float = 0.0
-    eps_r: float = 0.0
-    theta: float = 0.0
-    fidelity: float = 1.0
-    rho: np.ndarray = field(repr=False, default=None)
-
-    @property
-    def eps_s(self) -> float:
-        return self.eps_d + self.eps_r
-
-
-def error_breakdown(
-    coupling: GateCoupling, trajectory: Trajectory, with_rho: bool = True
-) -> ErrorBreakdown:
-    """Full breakdown from per-mode end-of-gate displacements and phases."""
-    eigsys = spin_eigensystem(coupling)
-    per_mode, eps_d = displacement_error(eigsys, trajectory)
-    theta = float(coupling.eta_products @ trajectory.phases)
-    return ErrorBreakdown(
-        eps_d_per_mode=per_mode,
-        eps_d=eps_d,
-        eps_r=rotation_error(theta),
-        theta=theta,
-        fidelity=exact_fidelity(eigsys, trajectory),
-        rho=reduced_density_matrix(eigsys, trajectory) if with_rho else None,
     )

@@ -56,16 +56,6 @@ class ModeStructure:
         """Frequency gap nu_k2 - nu_k1 in rad/s."""
         return float(self.freqs[k2] - self.freqs[k1])
 
-    def to_csv_rows(self):
-        """Rows (direction, index, freq_hz, b_0..b_{n-1})."""
-        rows = []
-        for k in range(self.n):
-            rows.append(
-                [self.direction, k, angular_to_hz(self.freqs[k])]
-                + list(self.participation[:, k])
-            )
-        return rows
-
 
 def _fix_column_signs(vectors: np.ndarray) -> np.ndarray:
     """Make the first nonzero entry of each column positive.

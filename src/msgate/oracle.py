@@ -316,6 +316,20 @@ def _extract_mode_quantities(psi, lam, alphas, phases, n_max, n_modes):
     alpha_num = np.empty(n_modes, dtype=complex)
     b_num = np.empty(n_modes)
     sqrt_n = np.sqrt(np.arange(1, n_max)).reshape((-1,) + (1,) * (n_modes - 1))
+
+    # phase of <s, coh | psi> for the branches (++) and (+-); in mode k's
+    # share below the other modes' B cancel in the single-mode difference
+    # because their lambdas are equal there
+    amp = {}
+    for s in (0, 1):
+        coh = np.array([1.0 + 0j])
+        for k in range(n_modes):
+            coh = np.multiply.outer(coh, _coherent_vector(lam[k, s] * alphas[k], n_max))
+        full = np.multiply.outer(basis[:, s], coh.reshape(shape[1:]))
+        amp[s] = np.vdot(full, psi)
+    lam_sq_diff = lam[:, 0] ** 2 - lam[:, 1] ** 2
+    total = -np.angle(amp[0] / amp[1])
+
     for k in range(n_modes):
         # use the spin branch with the largest displacement on this mode
         s = int(np.argmax(np.abs(lam[k, :])))
@@ -325,18 +339,6 @@ def _extract_mode_quantities(psi, lam, alphas, phases, n_max, n_modes):
         a_exp = np.sum(np.conj(moved[:-1]) * sqrt_n * moved[1:])
         alpha_num[k] = a_exp / norm / lam[k, s]
 
-        # phase of <s, coh | psi> for two branches; other modes' B cancel in
-        # the single-mode difference because their lambdas are equal there
-        amp = {}
-        for s in (0, 1):
-            coh = np.array([1.0 + 0j])
-            for kk in range(n_modes):
-                coh = np.multiply.outer(coh, _coherent_vector(lam[kk, s] * alphas[kk], n_max))
-            coh = coh.reshape(shape[1:])
-            full = np.multiply.outer(basis[:, s], coh)
-            amp[s] = np.vdot(full, psi)
-        lam_sq_diff = lam[:, 0] ** 2 - lam[:, 1] ** 2
-        total = -np.angle(amp[0] / amp[1])
         other = np.sum(np.delete(phases * lam_sq_diff, k))
         if abs(lam_sq_diff[k]) > 1e-30:
             b_num[k] = (total - other) / lam_sq_diff[k]

@@ -61,12 +61,6 @@ class PulseShape:
         """Same shape rescaled to a new peak Rabi rate."""
         raise NotImplementedError
 
-    def to_csv_rows(self, n_samples: int = 201):
-        """Waveform samples as rows (t_us, omega_over_2pi_hz)."""
-        ts = np.linspace(0.0, self.tau, n_samples)
-        om = self.amplitude(ts)
-        return [[t * 1e6, o / (2.0 * np.pi)] for t, o in zip(ts, om)]
-
 
 @dataclass(frozen=True)
 class SquarePulse(PulseShape):

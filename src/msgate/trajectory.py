@@ -76,9 +76,8 @@ class DetuningContext:
 
 @dataclass(frozen=True)
 class Trajectory:
-    """End-of-gate displacement and phase for each mode."""
+    """End-of-gate displacement and phase for each mode (last axis)."""
 
-    detunings: np.ndarray  # rad/s, the shifted per-mode detunings used
     alphas: np.ndarray  # complex, dimensionless
     phases: np.ndarray  # B_k(tau), real
 
@@ -87,7 +86,6 @@ class Trajectory:
 class PhaseResult:
     theta: float  # rad
     dtheta_ddelta_c: float  # rad * s
-    d2theta_ddelta_c2: float | None = None  # rad * s^2
 
 
 def square_alpha_closed_form(omega0: float, tau: float, delta: float) -> complex:
@@ -119,20 +117,20 @@ class TrajectoryEngine:
     For each panel count the table holds the panel starts, the node
     offsets within a panel and the weights w_n Omega(t_n), w_n R(t_n),
     w_n t_n R(t_n) and w_n t_n^2 R(t_n); every alpha, B and dB/d delta is
-    a weighted sum of exp(i delta t_n) over that one node set.
+    a weighted sum of exp(i delta t_n) over that one node set. The panel
+    count is DEFAULT_PANELS unless a call asks for another.
     """
 
-    def __init__(self, pulse: PulseShape, panels: int = DEFAULT_PANELS):
-        if panels < 1:
-            raise ValueError("need at least one panel")
+    def __init__(self, pulse: PulseShape):
         self.pulse = pulse
-        self.panels = int(panels)
         self._tables: dict[int, tuple] = {}
 
     def _table(self, panels: int):
         cached = self._tables.get(panels)
         if cached is not None:
             return cached
+        if panels < 1:
+            raise ValueError("need at least one panel")
         pieces = self.pulse.pieces
         aligned = -(-panels // pieces) * pieces
         h = self.pulse.tau / aligned
@@ -196,7 +194,7 @@ class TrajectoryEngine:
             shifts = np.atleast_1d(np.asarray(shifts, dtype=float)).ravel()
             shape = shifts.shape + shape
         rows = slice(0 if alpha else 1, 2 + derivatives)  # table rows: Omega, R, t R, t^2 R
-        table = self._table(panels or self.panels)
+        table = self._table(DEFAULT_PANELS if panels is None else panels)
         f = self._transform(deltas.ravel(), shifts, table, rows)
         lag = f[..., 1 if alpha else 0 :]
         out = [1j * f[..., 0].conj().reshape(shape) if alpha else None, lag[..., 0].imag.reshape(shape)]
@@ -219,7 +217,7 @@ class TrajectoryEngine:
         out = np.empty(times.size, dtype=complex)
         out[0] = 0.0
         for s, t in enumerate(times[1:], start=1):
-            panels = max(1, int(np.ceil(self.panels * t / tau)))
+            panels = max(1, int(np.ceil(DEFAULT_PANELS * t / tau)))
             h = t / panels
             pts = (h * np.arange(panels))[:, None] + (h * (_GL_NODES + 1.0) / 2.0)[None, :]
             om = self.pulse.amplitude(pts)
@@ -228,37 +226,29 @@ class TrajectoryEngine:
 
 
 @lru_cache(maxsize=32)
-def engine_for(pulse: PulseShape, panels: int = DEFAULT_PANELS):
+def engine_for(pulse: PulseShape):
     """Shared engine cache; pulses are frozen dataclasses, hence hashable."""
-    return TrajectoryEngine(pulse, panels=panels)
+    return TrajectoryEngine(pulse)
 
 
-def gate_integrals(
-    pulse: PulseShape, deltas, shifts=None, panels=DEFAULT_PANELS, alpha=True, derivatives=0
-):
+def gate_integrals(pulse: PulseShape, deltas, shifts=None, alpha=True, derivatives=0):
     """``alpha_and_phase_many`` of ``pulse`` through the shape's shared table.
 
     The table is built for the shape at unit peak Rabi rate, so every
     pulse that differs only in omega0 shares one engine; alpha is then
     scaled by omega0 and B and its derivatives by omega0^2.
     """
-    unit = engine_for(pulse.with_omega0(1.0), panels)
+    unit = engine_for(pulse.with_omega0(1.0))
     out = unit.alpha_and_phase_many(deltas, shifts=shifts, alpha=alpha, derivatives=derivatives)
     scale = pulse.omega0
     alphas = None if out[0] is None else scale * out[0]
     return (alphas,) + tuple(scale * scale * x for x in out[1:])
 
 
-def mode_trajectory(
-    coupling: GateCoupling,
-    pulse: PulseShape,
-    ctx: DetuningContext,
-    panels: int = DEFAULT_PANELS,
-) -> Trajectory:
+def mode_trajectory(coupling: GateCoupling, pulse: PulseShape, ctx: DetuningContext) -> Trajectory:
     """End-of-gate alpha_k and B_k for every mode of the coupling."""
-    deltas = ctx.sideband_detunings(coupling.freqs)
-    alphas, phases = gate_integrals(pulse, deltas, panels=panels)
-    return Trajectory(detunings=deltas, alphas=alphas, phases=phases)
+    alphas, phases = gate_integrals(pulse, ctx.sideband_detunings(coupling.freqs))
+    return Trajectory(alphas=alphas, phases=phases)
 
 
 def check_resonance(deltas: np.ndarray, guard: float = RESONANCE_GUARD) -> None:
@@ -270,27 +260,16 @@ def check_resonance(deltas: np.ndarray, guard: float = RESONANCE_GUARD) -> None:
 
 
 def phase_and_derivative(
-    coupling: GateCoupling,
-    pulse: PulseShape,
-    ctx: DetuningContext,
-    second: bool = False,
-    panels: int = DEFAULT_PANELS,
+    coupling: GateCoupling, pulse: PulseShape, ctx: DetuningContext
 ) -> PhaseResult:
-    """Rotation angle and its analytic carrier-detuning derivative(s).
+    """Rotation angle and its analytic carrier-detuning derivative.
 
     dtheta/d delta_c = sum_k eta1_k eta2_k dB/d delta at delta_k, from the
-    s R(s) transform; ``second`` adds the s^2 R(s) transform. Raises
-    ResonanceError if any shifted detuning comes within the guard band of
-    a mode.
+    s R(s) transform. Raises ResonanceError if any shifted detuning comes
+    within the guard band of a mode.
     """
     deltas = ctx.sideband_detunings(coupling.freqs)
     check_resonance(deltas)
-    _, phases, *slopes = gate_integrals(
-        pulse, deltas, panels=panels, alpha=False, derivatives=2 if second else 1
-    )
+    _, phases, slopes = gate_integrals(pulse, deltas, alpha=False, derivatives=1)
     products = coupling.eta_products
-    return PhaseResult(
-        theta=float(products @ phases),
-        dtheta_ddelta_c=float(products @ slopes[0]),
-        d2theta_ddelta_c2=float(products @ slopes[1]) if second else None,
-    )
+    return PhaseResult(theta=float(products @ phases), dtheta_ddelta_c=float(products @ slopes))

@@ -140,7 +140,7 @@ def test_default_target_pair_centers():
 def test_roundtrip_serialization(tmp_path):
     cfg = three_ion_config()
     path = tmp_path / "cfg.json"
-    cfg.save(path)
+    path.write_text(json.dumps(cfg.to_dict()))
     again = load_config(path)
     assert again == cfg
     assert again.config_hash() == cfg.config_hash()

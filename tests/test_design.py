@@ -8,17 +8,23 @@ from msgate import (
     BracketError,
     DetuningContext,
     design_gate,
-    evaluate_with_error,
     midpoint_guess,
     sensitivity,
     solve_balance,
 )
 from msgate.chain import build_chain
-from msgate.config import PulseSpec, SystemConfig, angular_to_hz, hz_to_angular
+from msgate.config import PulseSpec, SystemConfig, angular_to_hz, default_target_pair, hz_to_angular
 from msgate.design import breakdown_curve, calibrate_omega0, eps_s_curve
+from msgate.errors import displacement_error, exact_fidelity, rotation_error, spin_eigensystem
 from msgate.modes import GateCoupling, build_coupling
 from msgate.pulses import TruncGaussianPulse, make_pulse
-from msgate.trajectory import ResonanceError, phase_and_derivative
+from msgate.trajectory import (
+    ResonanceError,
+    Trajectory,
+    TrajectoryEngine,
+    gate_integrals,
+    phase_and_derivative,
+)
 
 TWO_PI = 2 * np.pi
 
@@ -188,24 +194,84 @@ def test_unbalanced_reference_design(ref_config):
     assert design.diagnostics["balanced"] is False
 
 
-def test_evaluate_with_error_zero_matches_design(ref_design):
-    bd = evaluate_with_error(ref_design, 0.0)
-    assert bd.eps_d == pytest.approx(ref_design.diagnostics["eps_d"], rel=1e-12)
-    assert bd.eps_r == pytest.approx(ref_design.diagnostics["eps_r"], abs=1e-18)
-    assert bd.fidelity == pytest.approx(ref_design.diagnostics["fidelity"], rel=1e-12)
+def test_breakdown_curve_zero_matches_design(ref_design):
+    curve = breakdown_curve(ref_design, [0.0])
+    assert curve.eps_d[0] == pytest.approx(ref_design.diagnostics["eps_d"], rel=1e-12)
+    assert curve.eps_r[0] == pytest.approx(ref_design.diagnostics["eps_r"], abs=1e-18)
+    assert curve.fidelity[0] == pytest.approx(ref_design.diagnostics["fidelity"], rel=1e-12)
 
 
 def test_rotation_error_stationary_at_zero(ref_design):
     h = TWO_PI * 50.0
-    plus = evaluate_with_error(ref_design, h, with_rho=False).eps_r
-    minus = evaluate_with_error(ref_design, -h, with_rho=False).eps_r
+    plus, minus = breakdown_curve(ref_design, [h, -h], with_fidelity=False).eps_r
     assert abs(plus - minus) / (2 * h) <= 1e-8
 
 
-def test_evaluate_resonance_guard(ref_design):
-    # shift the drive right onto the zig-zag mode
+def test_design_gate_resonance_guard(ref_config):
+    # the design detuning parked right on the zig-zag mode
     with pytest.raises(ResonanceError):
-        evaluate_with_error(ref_design, -ref_design.delta0)
+        design_gate(ref_config, delta0_override=0.0)
+
+
+def test_design_gate_one_kernel_call_after_calibration(ref_config, monkeypatch):
+    import msgate.design
+
+    kernel = TrajectoryEngine.alpha_and_phase_many
+    calibrate = msgate.design.calibrate_omega0
+    calls, calibrated = [], []
+
+    def counted_kernel(self, *args, **kwargs):
+        calls.append(bool(calibrated))
+        return kernel(self, *args, **kwargs)
+
+    def noted_calibrate(*args, **kwargs):
+        out = calibrate(*args, **kwargs)
+        calibrated.append(True)
+        return out
+
+    monkeypatch.setattr(TrajectoryEngine, "alpha_and_phase_many", counted_kernel)
+    monkeypatch.setattr(msgate.design, "calibrate_omega0", noted_calibrate)
+    for override in (None, hz_to_angular(-40e3)):
+        calls.clear()
+        calibrated.clear()
+        design_gate(ref_config, delta0_override=override)
+        assert calibrated == [True]
+        assert calls.count(True) == 1
+
+
+def _per_point_breakdown(design, domegas):
+    """The per-grid-point error loop that breakdown_curve replaced, as the reference."""
+    alphas, phases = gate_integrals(design.pulse, design.delta_c - design.coupling.freqs, shifts=domegas)
+    eigsys = spin_eigensystem(design.coupling)
+    products = design.coupling.eta_products
+    eps_d, eps_r, fid = (np.empty(domegas.size) for _ in range(3))
+    for i in range(domegas.size):
+        traj = Trajectory(alphas=alphas[i], phases=phases[i])
+        _, eps_d[i] = displacement_error(eigsys, traj)
+        eps_r[i] = rotation_error(float(products @ phases[i]))
+        fid[i] = exact_fidelity(eigsys, traj)
+    return eps_d, eps_r, fid
+
+
+@pytest.mark.parametrize("n_ions", [3, 12, 33])
+def test_breakdown_curve_matches_per_point_loop(ref_config, ref_design, n_ions):
+    if n_ions == 3:
+        design = ref_design
+    else:
+        cfg = replace(
+            ref_config,
+            n_ions=n_ions,
+            center_spacing_m=3e-6,
+            axial_freq_hz=None,
+            target_pair=default_target_pair(n_ions),
+        )
+        design = design_gate(cfg)
+    grid = hz_to_angular(np.arange(-10e3, 10e3 + 50.0, 100.0))
+    curve = breakdown_curve(design, grid)
+    eps_d, eps_r, fid = _per_point_breakdown(design, grid)
+    np.testing.assert_array_equal(curve.eps_d, eps_d)
+    np.testing.assert_array_equal(curve.eps_r, eps_r)
+    np.testing.assert_allclose(curve.fidelity, fid, rtol=0, atol=1e-15)
 
 
 def test_balanced_beats_unbalanced(ref_config, ref_design):

@@ -9,9 +9,9 @@ from msgate import (
     rotation_error,
     spin_eigensystem,
 )
-from msgate.errors import TARGET_STATE, analysis_rotation, error_breakdown
+from msgate.errors import TARGET_STATE, analysis_rotation
 from msgate.modes import GateCoupling
-from msgate.trajectory import Trajectory
+from msgate.trajectory import DetuningContext, Trajectory, mode_trajectory
 
 TWO_PI = 2 * np.pi
 
@@ -29,10 +29,7 @@ def make_coupling(eta1, eta2):
 
 
 def make_trajectory(alphas, phases):
-    alphas = np.asarray(alphas, dtype=complex)
-    return Trajectory(
-        detunings=np.ones(alphas.size), alphas=alphas, phases=np.asarray(phases, dtype=float)
-    )
+    return Trajectory(alphas=np.asarray(alphas, dtype=complex), phases=np.asarray(phases, dtype=float))
 
 
 def ideal_single_mode(eta=0.1):
@@ -181,21 +178,44 @@ def test_analysis_rotation_is_unitary():
 def test_error_breakdown_consistency():
     coupling = make_coupling([0.06, 0.05], [0.055, -0.045])
     traj = make_trajectory([0.02 + 0.01j, -0.015j], [160.0, -110.0])
-    bd = error_breakdown(coupling, traj)
-    assert bd.eps_s == bd.eps_d + bd.eps_r
-    assert 0.0 <= bd.fidelity <= 1.0
-    assert bd.rho.shape == (4, 4)
-    bd_flip = error_breakdown(coupling.flipped(), traj)
-    assert bd_flip.theta == pytest.approx(-bd.theta, rel=1e-12)
-    assert bd_flip.eps_d == pytest.approx(bd.eps_d, rel=1e-12)
+    eig = spin_eigensystem(coupling)
+    _, eps_d = displacement_error(eig, traj)
+    assert 0.0 <= exact_fidelity(eig, traj) <= 1.0
+    assert reduced_density_matrix(eig, traj).shape == (4, 4)
+    theta = float(coupling.eta_products @ traj.phases)
+    flipped = coupling.flipped()
+    assert float(flipped.eta_products @ traj.phases) == pytest.approx(-theta, rel=1e-12)
+    assert displacement_error(spin_eigensystem(flipped), traj)[1] == pytest.approx(eps_d, rel=1e-12)
+
+
+def test_error_functions_broadcast_over_leading_axes():
+    coupling = make_coupling([0.06, 0.05, 0.02], [0.055, -0.045, 0.01])
+    eig = spin_eigensystem(coupling)
+    rng = np.random.default_rng(7)
+    alphas = rng.normal(size=(2, 5, 3)) * 0.05 + 1j * rng.normal(size=(2, 5, 3)) * 0.05
+    phases = rng.normal(size=(2, 5, 3)) * 200.0
+    per_mode, eps_d = displacement_error(eig, make_trajectory(alphas, phases))
+    fid = exact_fidelity(eig, make_trajectory(alphas, phases))
+    thetas = phases @ coupling.eta_products
+    eps_r = rotation_error(thetas)
+    assert per_mode.shape == alphas.shape
+    assert eps_d.shape == fid.shape == eps_r.shape == (2, 5)
+    for i in range(2):
+        for j in range(5):
+            traj = make_trajectory(alphas[i, j], phases[i, j])
+            one_mode, one_d = displacement_error(eig, traj)
+            np.testing.assert_array_equal(per_mode[i, j], one_mode)
+            assert eps_d[i, j] == one_d
+            assert fid[i, j] == pytest.approx(exact_fidelity(eig, traj), abs=1e-15)
+            assert eps_r[i, j] == rotation_error(float(thetas[i, j]))
+    assert isinstance(rotation_error(0.5), float)
 
 
 def test_spectator_suppression_bound(ref_design):
     # far-detuned modes keep a displacement error at the truncation floor:
     # bounded by the infinite-window Fourier value plus the hard-edge leak
-    from msgate.design import evaluate_with_error
-
-    bd = evaluate_with_error(ref_design, 0.0)
+    traj = mode_trajectory(ref_design.coupling, ref_design.pulse, DetuningContext(ref_design.delta_c))
+    per_mode, _ = displacement_error(spin_eigensystem(ref_design.coupling), traj)
     pulse = ref_design.pulse
     z = pulse.z
     deltas = ref_design.delta_c - ref_design.coupling.freqs
@@ -206,4 +226,4 @@ def test_spectator_suppression_bound(ref_design):
         eta_sq = max(ref_design.coupling.eta1[k] ** 2, ref_design.coupling.eta2[k] ** 2)
         fourier = 2 * np.pi * pulse.omega0**2 * z**2 * np.exp(-((deltas[k] * z) ** 2))
         floor = (2.0 * edge / deltas[k]) ** 2
-        assert bd.eps_d_per_mode[k] <= eta_sq * (fourier + 4.0 * floor) / 2.0 + 1e-15
+        assert per_mode[k] <= eta_sq * (fourier + 4.0 * floor) / 2.0 + 1e-15

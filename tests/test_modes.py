@@ -139,14 +139,3 @@ def test_lamb_dicke_warning():
     loose = replace(cfg, geometry=LaserGeometry(wavelength=355e-9, wavevector_factor=12.0))
     with pytest.warns(UserWarning):
         build_coupling(loose, build_chain(loose))
-
-
-def test_mode_csv_rows(ref_config):
-    chain = build_chain(ref_config)
-    rb = radial_modes(chain, hz_to_angular(2.19e6))
-    rows = rb.to_csv_rows()
-    assert len(rows) == 3
-    direction, index, freq_hz = rows[0][:3]
-    assert direction == "radial_b" and index == 0
-    assert freq_hz == pytest.approx(rb.freqs[0] / (2 * np.pi))
-    assert len(rows[0]) == 3 + 3

@@ -96,15 +96,6 @@ def test_make_pulse_and_rescale():
     assert p2.amplitude(TAU / 2) == pytest.approx(2.0 * p.amplitude(TAU / 2), rel=1e-12)
 
 
-def test_waveform_csv_rows():
-    p = TruncGaussianPulse(omega0=2 * np.pi * 1e5, tau=TAU, z=25e-6)
-    rows = p.to_csv_rows(n_samples=11)
-    assert len(rows) == 11
-    t_us, omega_hz = rows[5]
-    assert t_us == pytest.approx(100.0)
-    assert omega_hz == pytest.approx(1e5)
-
-
 def test_validation():
     with pytest.raises(ValueError):
         SquarePulse(omega0=-1.0, tau=TAU)

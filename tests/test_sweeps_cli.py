@@ -1,11 +1,14 @@
 import json
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from msgate.sweeps import chain_study, contour, parity_study, sweep_detuning
+from msgate.oracle import CutoffError
+from msgate.sweeps import DOMAIN_ERRORS, chain_study, contour, parity_study, sweep_detuning
 
 from conftest import three_ion_config
 
@@ -151,7 +154,7 @@ def test_parity_estimate_tracks_exact_off_resonance(ref_config_module):
 
 def write_config(tmp_path, cfg):
     path = tmp_path / "config.json"
-    cfg.save(path)
+    path.write_text(json.dumps(cfg.to_dict()))
     return path
 
 
@@ -185,6 +188,41 @@ def test_cli_invalid_config(tmp_path, capsys):
     assert "error" in capsys.readouterr().err
 
 
+def test_cli_resonant_design_is_an_error_line(tmp_path, capsys, ref_config_module):
+    from msgate.cli import main
+
+    path = write_config(tmp_path, ref_config_module)
+    assert main(["design", "--config", str(path), "--delta0-khz", "0"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: sideband detuning within 100 Hz of modes")
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("error", DOMAIN_ERRORS + (CutoffError,), ids=lambda e: e.__name__)
+def test_cli_domain_errors_exit_1(tmp_path, capsys, monkeypatch, ref_config_module, error):
+    import msgate.cli
+
+    def fail(*args, **kwargs):
+        raise error("no gate here")
+
+    monkeypatch.setattr(msgate.cli, "design_gate", fail)
+    path = write_config(tmp_path, ref_config_module)
+    assert msgate.cli.main(["design", "--config", str(path)]) == 1
+    assert capsys.readouterr().err == "error: no gate here\n"
+
+
+@pytest.mark.parametrize("command", ["design", "sweep-detuning", "parity", "oracle"])
+def test_cli_workers_only_on_pooled_sweeps(capsys, command):
+    from msgate.cli import build_parser, main
+
+    with pytest.raises(SystemExit) as exc:
+        main([command, "--config", "unused.json", "--workers", "2"])
+    assert exc.value.code == 2
+    assert "--workers" in capsys.readouterr().err
+    for pooled in ("contour", "chain-study"):
+        assert build_parser().parse_args([pooled, "--config", "c.json", "--workers", "2"]).workers == 2
+
+
 def test_cli_parity_to_file(tmp_path, ref_config_module):
     from msgate.cli import main
 
@@ -196,12 +234,18 @@ def test_cli_parity_to_file(tmp_path, ref_config_module):
 
 
 def test_cli_entrypoint_subprocess(tmp_path, ref_config_module):
+    import msgate
+
     cfg_path = write_config(tmp_path, ref_config_module)
+    # the child finds the same msgate as this process, installed or not
+    package_root = str(Path(msgate.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [package_root, os.environ.get("PYTHONPATH")])))
     proc = subprocess.run(
         [sys.executable, "-m", "msgate.cli", "design", "--config", str(cfg_path)],
         capture_output=True,
         text=True,
         timeout=120,
+        env=env,
     )
     assert proc.returncode == 0
     assert json.loads(proc.stdout)["theta"] == pytest.approx(np.pi / 2)
