@@ -13,7 +13,6 @@ from .chain import IonChain, axial_freq_for_center_spacing, build_chain, equilib
 from .config import (
     ConfigError,
     LaserGeometry,
-    PhysicalConstants,
     PulseSpec,
     SystemConfig,
     angular_to_hz,
@@ -26,7 +25,7 @@ from .design import (
     breakdown_curve,
     calibrate_omega0,
     design_gate,
-    midpoint_guess,
+    phase_and_derivative,
     sensitivity,
     solve_balance,
 )
@@ -44,7 +43,6 @@ from .modes import (
     ZigZagInstabilityError,
     axial_modes,
     build_coupling,
-    gate_coupling,
     radial_modes,
 )
 from .oracle import CutoffError, OracleReport, OracleSpec, run_oracle
@@ -56,13 +54,16 @@ from .pulses import (
     make_pulse,
     spline_gaussian,
 )
-from .trajectory import (
-    DetuningContext,
-    PhaseResult,
-    ResonanceError,
-    Trajectory,
-    TrajectoryEngine,
-    phase_and_derivative,
-)
+from .trajectory import ResonanceError, TrajectoryEngine
 
-__all__ = [name for name in dir() if not name.startswith("_")]
+__all__ = [
+    "BracketError", "ConfigError", "CutoffError", "GateCoupling", "GateDesign", "IonChain",
+    "LaserGeometry", "ModeStructure", "OracleReport", "OracleSpec", "PulseShape", "PulseSpec",
+    "ResonanceError", "SplineGaussianPulse", "SquarePulse", "SystemConfig", "TrajectoryEngine",
+    "TruncGaussianPulse", "ZigZagInstabilityError", "angular_to_hz", "axial_freq_for_center_spacing",
+    "axial_modes", "breakdown_curve", "build_chain", "build_coupling", "calibrate_omega0",
+    "design_gate", "displacement_error", "equilibrium_positions", "exact_fidelity", "hz_to_angular",
+    "load_config", "make_pulse", "parity_scan", "phase_and_derivative", "radial_modes",
+    "reduced_density_matrix", "rotation_error", "run_oracle", "sensitivity", "solve_balance",
+    "spin_eigensystem", "spline_gaussian",
+]

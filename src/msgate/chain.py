@@ -16,10 +16,8 @@ from functools import lru_cache
 
 import numpy as np
 
-from .config import PhysicalConstants, SystemConfig, hz_to_angular
+from .config import COULOMB_COEFF, ION_MASS, SystemConfig, hz_to_angular
 from .numerics import ConvergenceError
-
-_DEFAULT_CONSTANTS = PhysicalConstants()
 
 
 @dataclass(frozen=True)
@@ -30,7 +28,6 @@ class IonChain:
     omega_z: float  # axial COM angular frequency, rad/s
     length_scale: float  # m
     u: np.ndarray = field(repr=False)  # dimensionless positions, ascending
-    constants: PhysicalConstants = _DEFAULT_CONSTANTS
 
     @property
     def positions(self) -> np.ndarray:
@@ -123,9 +120,7 @@ def center_spacing_dimensionless(n: int) -> float:
     return float(u[(n + 1) // 2] - u[(n - 1) // 2])
 
 
-def axial_freq_for_center_spacing(
-    n: int, spacing: float, constants: PhysicalConstants = _DEFAULT_CONSTANTS
-) -> float:
+def axial_freq_for_center_spacing(n: int, spacing: float) -> float:
     """Axial COM angular frequency that puts the centre ions ``spacing`` apart.
 
     Closed form: the dimensionless centre spacing fixes the length scale
@@ -137,35 +132,24 @@ def axial_freq_for_center_spacing(
         raise ValueError("spacing must be positive")
     du = center_spacing_dimensionless(n)
     length = spacing / du
-    return float(np.sqrt(constants.coulomb_coeff / (constants.ion_mass * length**3)))
+    return float(np.sqrt(COULOMB_COEFF / (ION_MASS * length**3)))
 
 
-def chain_for_axial_freq(
-    n: int, omega_z: float, constants: PhysicalConstants = _DEFAULT_CONSTANTS
-) -> IonChain:
+def chain_for_axial_freq(n: int, omega_z: float) -> IonChain:
     """IonChain for a given axial COM angular frequency (rad/s)."""
     if omega_z <= 0:
         raise ValueError("omega_z must be positive")
-    length = (constants.coulomb_coeff / (constants.ion_mass * omega_z**2)) ** (1.0 / 3.0)
-    return IonChain(
-        n=int(n),
-        omega_z=float(omega_z),
-        length_scale=float(length),
-        u=equilibrium_positions(n),
-        constants=constants,
-    )
+    length = (COULOMB_COEFF / (ION_MASS * omega_z**2)) ** (1.0 / 3.0)
+    return IonChain(n=int(n), omega_z=float(omega_z), length_scale=float(length), u=equilibrium_positions(n))
 
 
 def build_chain(config: SystemConfig) -> IonChain:
     """IonChain from a SystemConfig (direct axial frequency or centre spacing)."""
-    constants = config.constants
     if config.axial_freq_hz is not None:
         omega_z = hz_to_angular(config.axial_freq_hz)
     else:
-        omega_z = axial_freq_for_center_spacing(
-            config.n_ions, config.center_spacing_m, constants=constants
-        )
-    return chain_for_axial_freq(config.n_ions, omega_z, constants=constants)
+        omega_z = axial_freq_for_center_spacing(config.n_ions, config.center_spacing_m)
+    return chain_for_axial_freq(config.n_ions, omega_z)
 
 
 def axial_hessian(chain: IonChain) -> np.ndarray:

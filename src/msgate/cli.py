@@ -5,7 +5,9 @@ oracle. All take --config pointing at a JSON system description and write
 to --out (default stdout). contour and chain-study also accept --workers
 to spread their grid over a process pool. Domain failures (no balance
 bracket, unstable or degenerate modes, a drive on resonance, too small a
-Fock cutoff) print ``error: ...`` and exit with status 1.
+Fock cutoff) print ``error: ...`` and exit with status 1. Malformed
+arguments, an unreadable config and an oracle scope the chain or the
+integrator cannot take exit with status 2 before any design work.
 """
 
 from __future__ import annotations
@@ -35,16 +37,52 @@ def _emit(text: str, out):
             fh.write(text)
 
 
-def _int_list(text: str):
+def _fail(exc, code: int) -> int:
+    print(f"error: {exc}", file=sys.stderr)
+    return code
+
+
+def _int_list(text: str) -> list[int]:
+    """argparse type: comma list of integers and inclusive ranges, e.g. ``2-5,8``."""
     out = []
     for part in text.split(","):
         part = part.strip()
-        if "-" in part and not part.startswith("-"):
-            lo, hi = part.split("-")
-            out.extend(range(int(lo), int(hi) + 1))
-        else:
-            out.append(int(part))
+        try:
+            if "-" in part and not part.startswith("-"):
+                lo, hi = part.split("-")
+                span = range(int(lo), int(hi) + 1)
+            else:
+                span = [int(part)]
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"{part!r} is not an integer or a range like 2-33") from None
+        if not span:
+            raise argparse.ArgumentTypeError(f"empty range {part!r}")
+        out.extend(span)
     return out
+
+
+def _mode_list(text: str) -> tuple[int, ...]:
+    """argparse type: distinct non-negative mode indices."""
+    modes = _int_list(text)
+    if min(modes) < 0 or len(set(modes)) != len(modes):
+        raise argparse.ArgumentTypeError(f"mode indices must be distinct and non-negative, got {text!r}")
+    return tuple(modes)
+
+
+def _float_list(text: str) -> list[float]:
+    """argparse type: comma list of numbers."""
+    try:
+        return [float(part) for part in text.split(",")]
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"expected a comma list of numbers, got {text!r}") from None
+
+
+def _oracle_spec(args, config) -> OracleSpec:
+    """The oracle's scope in radial-b mode indices, checked before any design work."""
+    missing = [k for k in args.modes if k >= config.n_ions]
+    if missing:
+        raise ValueError(f"no radial-b mode {missing} in a {config.n_ions}-ion chain")
+    return OracleSpec(mode_indices=args.modes, n_max=args.nmax, n_steps=args.steps)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -81,8 +119,10 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("chain-study", help="designs and robustness across chain lengths")
     _add_common(p, workers=True)
-    p.add_argument("--n", default="2-33", help="chain lengths, e.g. 2-33 or 2,3,5")
-    p.add_argument("--dx0-um", default="3.0", help="comma list of centre spacings in um")
+    p.add_argument("--n", type=_int_list, default="2-33", help="chain lengths, e.g. 2-33 or 2,3,5")
+    p.add_argument(
+        "--dx0-um", type=_float_list, default="3.0", help="comma list of centre spacings in um"
+    )
     p.add_argument("--domega-khz", type=float, default=10.0)
     p.add_argument("--domega-step-hz", type=float, default=100.0)
     p.add_argument("--curves-out", default=None, help="also write the per-N error curves here")
@@ -95,7 +135,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("oracle", help="integrate the truncated-Fock model and compare")
     _add_common(p)
-    p.add_argument("--modes", default="0,1", help="radial-b mode indices to keep (at most 3)")
+    p.add_argument(
+        "--modes", type=_mode_list, default="0,1", help="radial-b mode indices to keep (at most 3)"
+    )
     p.add_argument("--nmax", type=int, default=15)
     p.add_argument("--steps", type=int, default=200_000)
     p.add_argument("--domega-khz", type=float, default=0.0)
@@ -108,8 +150,12 @@ def main(argv=None) -> int:
     try:
         config = load_config(args.config)
     except (ConfigError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+        return _fail(exc, 2)
+    if args.command == "oracle":
+        try:
+            spec = _oracle_spec(args, config)
+        except ValueError as exc:
+            return _fail(exc, 2)
 
     try:
         if args.command == "design":
@@ -142,8 +188,8 @@ def main(argv=None) -> int:
         elif args.command == "chain-study":
             summary, curves = chain_study(
                 config,
-                dx0_list_m=[float(x) * 1e-6 for x in args.dx0_um.split(",")],
-                n_list=_int_list(args.n),
+                dx0_list_m=[x * 1e-6 for x in args.dx0_um],
+                n_list=args.n,
                 domega_half_range_hz=args.domega_khz * 1e3,
                 domega_step_hz=args.domega_step_hz,
                 workers=args.workers,
@@ -163,15 +209,12 @@ def main(argv=None) -> int:
             _emit(result.to_csv(), args.out)
         elif args.command == "oracle":
             design = design_gate(config)
-            flat = [
-                design.coupling.flat_index("radial_b", k) for k in _int_list(args.modes)
-            ]
-            spec = OracleSpec(mode_indices=tuple(flat), n_max=args.nmax, n_steps=args.steps)
+            flat = tuple(design.coupling.flat_index("radial_b", k) for k in spec.mode_indices)
             report = run_oracle(
                 design.coupling,
                 design.pulse,
                 design.delta_c,
-                spec,
+                replace(spec, mode_indices=flat),
                 domega=hz_to_angular(args.domega_khz * 1e3),
             )
             lines = [
@@ -180,8 +223,7 @@ def main(argv=None) -> int:
             ]
             _emit("\n".join(lines) + "\n", args.out)
     except DOMAIN_ERRORS + (CutoffError,) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
+        return _fail(exc, 1)
     return 0
 
 

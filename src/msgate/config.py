@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from pathlib import Path
 
 TWO_PI = 2.0 * math.pi
@@ -23,7 +23,8 @@ ELEMENTARY_CHARGE = 1.602176634e-19  # C
 EPSILON_0 = 8.8541878128e-12  # F/m
 HBAR = 1.054571817e-34  # J s
 ATOMIC_MASS = 1.66053906660e-27  # kg
-YB171_MASS = 170.936 * ATOMIC_MASS  # kg, 171Yb+
+ION_MASS = 170.936 * ATOMIC_MASS  # kg, 171Yb+
+COULOMB_COEFF = ELEMENTARY_CHARGE**2 / (4.0 * math.pi * EPSILON_0)  # kg m^3 / s^2
 
 PULSE_TYPES = ("square", "trunc_gaussian", "spline_gaussian")
 
@@ -40,19 +41,6 @@ def hz_to_angular(f):
 def angular_to_hz(w):
     """Angular frequency in rad/s -> ordinary frequency in Hz."""
     return w / TWO_PI
-
-
-@dataclass(frozen=True)
-class PhysicalConstants:
-    """Ion mass and electrostatic constants entering the chain model."""
-
-    ion_mass: float = YB171_MASS  # kg
-    coulomb_coeff: float = ELEMENTARY_CHARGE**2 / (4.0 * math.pi * EPSILON_0)  # kg m^3 / s^2
-    hbar: float = HBAR  # J s
-
-    def __post_init__(self):
-        if self.ion_mass <= 0 or self.coulomb_coeff <= 0 or self.hbar <= 0:
-            raise ConfigError("physical constants must be strictly positive")
 
 
 @dataclass(frozen=True)
@@ -133,7 +121,6 @@ class SystemConfig:
     target_pair: tuple[int, int] | None = None
     pulse: PulseSpec = field(default_factory=PulseSpec)
     tol: Tolerances = field(default_factory=Tolerances)
-    constants: PhysicalConstants = field(default_factory=PhysicalConstants)
 
     def __post_init__(self):
         if self.n_ions < 2:
@@ -164,10 +151,7 @@ class SystemConfig:
             return self.axial_freq_hz
         from .chain import axial_freq_for_center_spacing
 
-        omega = axial_freq_for_center_spacing(
-            self.n_ions, self.center_spacing_m, constants=self.constants
-        )
-        return angular_to_hz(omega)
+        return angular_to_hz(axial_freq_for_center_spacing(self.n_ions, self.center_spacing_m))
 
     def to_dict(self) -> dict:
         d = {
@@ -231,13 +215,34 @@ _TOP_LEVEL_KEYS = {
 }
 
 
+def _reject_unknown(raw: dict, allowed, where: str = "") -> None:
+    unknown = set(raw) - set(allowed)
+    if unknown:
+        raise ConfigError(f"unknown config keys{where}: {sorted(unknown)}")
+
+
+def _section(raw: dict, name: str, cls):
+    """A nested mapping of the config file as a ``cls`` dataclass.
+
+    Every key must name a field; each value is cast to the type of that
+    field's default, and absent fields keep their defaults.
+    """
+    section = raw.get(name, {})
+    if not isinstance(section, dict):
+        raise ConfigError(f"'{name}' must be a mapping")
+    _reject_unknown(section, (f.name for f in fields(cls)), f" in '{name}'")
+    defaults = cls()
+    return cls(**{key: type(getattr(defaults, key))(value) for key, value in section.items()})
+
+
 def config_from_dict(raw: dict) -> SystemConfig:
-    """Build a validated SystemConfig from a parsed key/value tree."""
+    """Build a validated SystemConfig from a parsed key/value tree.
+
+    Unknown keys raise ConfigError at every level, naming the key.
+    """
     if not isinstance(raw, dict):
         raise ConfigError("config root must be a key/value mapping")
-    unknown = set(raw) - _TOP_LEVEL_KEYS
-    if unknown:
-        raise ConfigError(f"unknown config keys: {sorted(unknown)}")
+    _reject_unknown(raw, _TOP_LEVEL_KEYS)
     for key in ("n_ions", "radial_a_freq_hz", "radial_b_freq_hz"):
         if key not in raw:
             raise ConfigError(f"missing required config key: {key}")
@@ -247,25 +252,8 @@ def config_from_dict(raw: dict) -> SystemConfig:
         wavevector_factor=float(raw.get("wavevector_factor", 2.0)),
         projection_angle=float(raw.get("projection_angle_rad", math.pi / 4.0)),
     )
-
-    pulse_raw = raw.get("pulse", {})
-    if not isinstance(pulse_raw, dict):
-        raise ConfigError("'pulse' must be a mapping")
-    pulse = PulseSpec(
-        type=str(pulse_raw.get("type", "trunc_gaussian")),
-        omega0_hz=float(pulse_raw.get("omega0_hz", 1e5)),
-        tau_s=float(pulse_raw.get("tau_s", 200e-6)),
-        z_s=float(pulse_raw.get("z_s", 25e-6)),
-        n_knots=int(pulse_raw.get("n_knots", 13)),
-    )
-
-    tol_raw = raw.get("tol", {})
-    if not isinstance(tol_raw, dict):
-        raise ConfigError("'tol' must be a mapping")
-    tol = Tolerances(
-        quad_rel=float(tol_raw.get("quad_rel", 1e-10)),
-        root_hz=float(tol_raw.get("root_hz", 1.0)),
-    )
+    pulse = _section(raw, "pulse", PulseSpec)
+    tol = _section(raw, "tol", Tolerances)
 
     pair = raw.get("target_pair")
     if pair is not None:

@@ -24,20 +24,23 @@ from .errors import displacement_error, exact_fidelity, rotation_error, spin_eig
 from .modes import GateCoupling, build_coupling
 from .numerics import brent, golden_section_min
 from .pulses import PulseShape, make_pulse
-from .trajectory import (
-    RESONANCE_GUARD,
-    DetuningContext,
-    Trajectory,
-    check_resonance,
-    gate_integrals,
-    phase_and_derivative,
-)
+from .trajectory import RESONANCE_GUARD, check_resonance, gate_integrals
 
 THETA_TARGET = math.pi / 2.0
+TARGET_MODES = ("radial_b", 0, 1)  # the balanced pair: the two lowest radial-b modes
+SENS_HALF_RANGE_HZ = 3e3  # half width of the window ``sensitivity`` scores
+_SENS_GRID_STEP = TWO_PI * 50.0
+_SENS_REFINE_TOL = TWO_PI * 1.0
 
 
 class BracketError(ValueError):
     """No sign change of d theta / d delta_c across the candidate bracket."""
+
+
+def _target_freqs(coupling: GateCoupling) -> tuple[float, float]:
+    """Frequencies nu1 < nu2 of the two target modes, rad/s."""
+    direction, k1, k2 = TARGET_MODES
+    return tuple(coupling.freqs[coupling.flat_index(direction, k)] for k in (k1, k2))
 
 
 @dataclass(frozen=True)
@@ -48,18 +51,13 @@ class GateDesign:
     pulse: PulseShape
     delta_c: float  # rad/s, blue-tone detuning from the carrier
     theta: float  # rad, achieved rotation angle (pi/2 after calibration)
-    target_modes: tuple[str, int, int]
     diagnostics: dict = field(default_factory=dict)
     chain: IonChain | None = None
 
     @property
     def delta0(self) -> float:
-        """Detuning above the lowest mode of the targeted direction, rad/s."""
-        direction = self.target_modes[0]
-        lowest = min(
-            f for f, d in zip(self.coupling.freqs, self.coupling.directions) if d == direction
-        )
-        return self.delta_c - lowest
+        """Detuning above the lowest radial-b mode, rad/s."""
+        return self.delta_c - _target_freqs(self.coupling)[0]
 
     def record(self) -> dict:
         """Serializable summary (frequencies in Hz)."""
@@ -71,7 +69,7 @@ class GateDesign:
             "pulse_type": self.pulse.variant,
             "tau_s": self.pulse.tau,
             "z_s": getattr(self.pulse, "z", None),
-            "target_modes": list(self.target_modes),
+            "target_modes": list(TARGET_MODES),
             "target_pair": list(self.coupling.pair),
             "even_flip": self.coupling.even_flip,
             "diagnostics": self.diagnostics,
@@ -81,11 +79,28 @@ class GateDesign:
         return json.dumps(self.record(), indent=2, sort_keys=True)
 
 
-def midpoint_guess(nu_k1: float, nu_k2: float) -> float:
-    """Arithmetic mean of two mode frequencies: the zeroth-order balance point."""
-    if nu_k1 > nu_k2:
-        raise ValueError("expected nu_k1 <= nu_k2")
-    return 0.5 * (nu_k1 + nu_k2)
+def _theta(coupling: GateCoupling, values):
+    """sum_k eta1_k eta2_k values_k over the last axis of (..., K) ``values``.
+
+    One row-by-vector dot product per row, so a detuning's theta does not
+    depend on the grid around it.
+    """
+    return (values[..., None, :] @ coupling.eta_products[:, None])[..., 0, 0]
+
+
+def phase_and_derivative(coupling: GateCoupling, pulse: PulseShape, delta_cs):
+    """Rotation angle theta and its analytic derivative d theta/d delta_c.
+
+    ``delta_cs`` is one carrier detuning or an array of them (rad/s); the
+    result is two 1-d arrays with one entry per detuning.
+    dtheta/d delta_c = sum_k eta1_k eta2_k dB/d delta at delta_c - nu_k,
+    from the s R(s) transform; all detunings go through one kernel call.
+    No resonance check: callers that need one run ``check_resonance``.
+    """
+    _, phases, slopes = gate_integrals(
+        pulse, -coupling.freqs, shifts=delta_cs, alpha=False, derivatives=1
+    )
+    return _theta(coupling, phases), _theta(coupling, slopes)
 
 
 def _bracket_margin(pulse: PulseShape, gap: float) -> float:
@@ -112,41 +127,24 @@ def _margin_floor(pulse: PulseShape, gap: float) -> float:
     return max(1.2 / z if z else 1e-3 * gap, TWO_PI * 400.0)
 
 
-def _theta_slopes(coupling: GateCoupling, pulse: PulseShape, delta_cs) -> np.ndarray:
-    """d theta / d delta_c at every carrier detuning of ``delta_cs``, in one batch."""
-    ref = coupling.freqs[0]
-    _, _, slopes = gate_integrals(
-        pulse, ref - coupling.freqs, shifts=np.asarray(delta_cs) - ref, alpha=False, derivatives=1
-    )
-    return slopes @ coupling.eta_products
-
-
-def solve_balance(
-    coupling: GateCoupling,
-    pulse: PulseShape,
-    k1: int,
-    k2: int,
-    direction: str = "radial_b",
-    root_tol: float = TWO_PI * 1.0,
-) -> float:
-    """Carrier detuning between modes k1 < k2 where d theta/d delta_c = 0.
+def solve_balance(coupling: GateCoupling, pulse: PulseShape, root_tol: float = TWO_PI * 1.0) -> float:
+    """Carrier detuning between the two target modes where d theta/d delta_c = 0.
 
     The root is independent of the trial Rabi rate (theta scales as
     omega0^2 uniformly). If the derivative does not change sign at the
     initial margins (the bracket then holds an even number of roots), it
     is scanned across the interval the margin floor allows, and Brent
-    polishes the sign change nearest the midpoint of the two modes. The
-    error reports both initial endpoint derivatives.
+    polishes the sign change nearest the midpoint of the two modes. Every
+    Brent evaluation raises ResonanceError within the guard band of a mode;
+    the scan does not check. A BracketError reports both initial endpoint
+    derivatives.
     """
-    i1 = coupling.flat_index(direction, k1)
-    i2 = coupling.flat_index(direction, k2)
-    nu1, nu2 = coupling.freqs[i1], coupling.freqs[i2]
-    if nu1 >= nu2:
-        raise ValueError("k1 must be the lower-frequency mode")
+    nu1, nu2 = _target_freqs(coupling)
     gap = nu2 - nu1
 
     def dtheta(delta_c: float) -> float:
-        return phase_and_derivative(coupling, pulse, DetuningContext(delta_c)).dtheta_ddelta_c
+        check_resonance(delta_c - coupling.freqs)
+        return float(phase_and_derivative(coupling, pulse, delta_c)[1][0])
 
     margin = _bracket_margin(pulse, gap)
     a, b = nu1 + margin, nu2 - margin
@@ -156,16 +154,17 @@ def solve_balance(
         # about six samples per 2 pi / tau, the ripple period of the finite window
         n_scan = max(33, int(np.ceil((gap - 2.0 * floor) * pulse.tau)) + 1)
         grid = np.linspace(nu1 + floor, nu2 - floor, n_scan) if 2.0 * floor < gap else np.empty(0)
-        signs = np.sign(_theta_slopes(coupling, pulse, grid))
+        signs = np.sign(phase_and_derivative(coupling, pulse, grid)[1])
         changes = np.flatnonzero(signs[:-1] != signs[1:])
         if not changes.size:
+            direction, k1, k2 = TARGET_MODES
             raise BracketError(
                 "d theta/d delta_c does not change sign between modes "
                 f"{k1} and {k2} of {direction}: f({angular_to_hz(a):.6g} Hz) = {fa:.6g}, "
                 f"f({angular_to_hz(b):.6g} Hz) = {fb:.6g}"
             )
         centres = 0.5 * (grid[changes] + grid[changes + 1])
-        i = changes[np.argmin(np.abs(centres - midpoint_guess(nu1, nu2)))]
+        i = changes[np.argmin(np.abs(centres - 0.5 * (nu1 + nu2)))]
         a, b = grid[i], grid[i + 1]
     root = brent(dtheta, a, b, xtol=root_tol)
     if not (nu1 < root < nu2):
@@ -182,8 +181,7 @@ def calibrate_omega0(
     omega0 -> omega0 sqrt((pi/2)/|theta_trial|). Returns the rescaled
     pulse and the achieved (signed) theta.
     """
-    deltas = DetuningContext(delta_c).sideband_detunings(coupling.freqs)
-    _, phases = gate_integrals(pulse, deltas, alpha=False)
+    _, phases = gate_integrals(pulse, delta_c - coupling.freqs, alpha=False)
     theta_trial = float(coupling.eta_products @ phases)
     if theta_trial == 0.0:
         raise ValueError("trial rotation angle is zero; cannot calibrate omega0")
@@ -191,17 +189,12 @@ def calibrate_omega0(
     return calibrated, theta_trial * (calibrated.omega0 / pulse.omega0) ** 2
 
 
-def design_gate(
-    config: SystemConfig,
-    target_modes: tuple[int, int] = (0, 1),
-    direction: str = "radial_b",
-    delta0_override: float | None = None,
-) -> GateDesign:
+def design_gate(config: SystemConfig, delta0_override: float | None = None) -> GateDesign:
     """Full design chain: modes, balance solve, Rabi-rate calibration.
 
-    Targets the lowest two modes of the chosen radial direction by
-    default. ``delta0_override`` (rad/s above that direction's lowest
-    mode) skips the balance solve and produces an unbalanced reference
+    Balances between the two lowest radial-b modes (TARGET_MODES).
+    ``delta0_override`` (rad/s above the lowest radial-b mode) skips the
+    balance solve and produces an unbalanced reference
     design at a fixed detuning. The achieved rotation angle is always
     normalised to +pi/2; when the calibrated angle comes out negative
     the differential-phase flip on the second ion is toggled, which
@@ -211,23 +204,16 @@ def design_gate(
     chain = build_chain(config)
     coupling = build_coupling(config, chain)
     pulse = make_pulse(config.pulse)
-    k1, k2 = target_modes
+    nu1, nu2 = _target_freqs(coupling)
 
     bracket_note = None
     if delta0_override is None:
-        delta_c = solve_balance(
-            coupling, pulse, k1, k2, direction=direction, root_tol=hz_to_angular(config.tol.root_hz)
-        )
-        nu1 = coupling.freqs[coupling.flat_index(direction, k1)]
-        nu2 = coupling.freqs[coupling.flat_index(direction, k2)]
+        delta_c = solve_balance(coupling, pulse, root_tol=hz_to_angular(config.tol.root_hz))
         bracket_note = [angular_to_hz(nu1), angular_to_hz(nu2)]
     else:
-        lowest = min(
-            f for f, d in zip(coupling.freqs, coupling.directions) if d == direction
-        )
-        delta_c = lowest + delta0_override
+        delta_c = nu1 + delta0_override
 
-    deltas = DetuningContext(delta_c).sideband_detunings(coupling.freqs)
+    deltas = delta_c - coupling.freqs
     check_resonance(deltas)
     pulse, theta = calibrate_omega0(coupling, pulse, delta_c)
     if theta < 0.0:
@@ -251,7 +237,6 @@ def design_gate(
         pulse=pulse,
         delta_c=float(delta_c),
         theta=float(theta),
-        target_modes=(direction, k1, k2),
         diagnostics=diagnostics,
         chain=chain,
     )
@@ -261,15 +246,13 @@ def _error_budget(coupling: GateCoupling, alphas, phases, with_fidelity: bool = 
     """eps_d, eps_r and the exact fidelity from (..., K) end-of-gate alpha and B.
 
     Without ``with_fidelity`` the fidelity is NaN of the same shape. Each
-    theta = sum_k eta1_k eta2_k B_k is one row-by-vector dot product, summed
-    in the same order as for a single K-vector, so a grid point's figures
-    do not depend on the grid around it.
+    theta is summed by ``_theta``, so a grid point's figures do not depend
+    on the grid around it.
     """
     eigsys = spin_eigensystem(coupling)
-    traj = Trajectory(alphas=alphas, phases=phases)
-    _, eps_d = displacement_error(eigsys, traj)
-    eps_r = rotation_error((phases[..., None, :] @ coupling.eta_products[:, None])[..., 0, 0])
-    fidelity = exact_fidelity(eigsys, traj) if with_fidelity else np.full(np.shape(eps_d), np.nan)
+    _, eps_d = displacement_error(eigsys, alphas)
+    eps_r = rotation_error(_theta(coupling, phases))
+    fidelity = exact_fidelity(eigsys, alphas, phases) if with_fidelity else np.full(np.shape(eps_d), np.nan)
     return eps_d, eps_r, fidelity
 
 
@@ -311,25 +294,21 @@ def eps_s_curve(design: GateDesign, domegas) -> np.ndarray:
     return breakdown_curve(design, domegas, with_fidelity=False).eps_s
 
 
-def sensitivity(
-    design: GateDesign,
-    half_range: float = TWO_PI * 3e3,
-    grid_step: float = TWO_PI * 50.0,
-    refine_tol: float = TWO_PI * 1.0,
-) -> float:
-    """Worst eps_s within +-half_range of the error that minimises eps_s.
+def sensitivity(design: GateDesign) -> float:
+    """Worst eps_s within +-SENS_HALF_RANGE_HZ of the error that minimises eps_s.
 
-    The minimum is located on a dense grid and polished by golden
-    section; the maximum over the window is then taken on the same grid
+    The minimum is located on a 50 Hz grid and polished by golden section
+    to 1 Hz; the maximum over the window is then taken on the same grid
     (window endpoints included).
     """
+    half_range, grid_step = hz_to_angular(SENS_HALF_RANGE_HZ), _SENS_GRID_STEP
     search = 2.0 * half_range
     grid = np.arange(-search, search + 0.5 * grid_step, grid_step)
     vals = eps_s_curve(design, grid)
     i_min = int(np.argmin(vals))
     if 0 < i_min < grid.size - 1:
         lo, hi = grid[i_min - 1], grid[i_min + 1]
-        best = golden_section_min(lambda w: eps_s_curve(design, [w])[0], lo, hi, refine_tol)
+        best = golden_section_min(lambda w: eps_s_curve(design, [w])[0], lo, hi, _SENS_REFINE_TOL)
     else:
         best = grid[i_min]
     window = np.arange(best - half_range, best + half_range + 0.5 * grid_step, grid_step)

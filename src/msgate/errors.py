@@ -10,9 +10,10 @@ phase exp(-i B_k lambda^2).
 The target state is (|00> + i|11>)/sqrt(2) together with all modes back
 in their motional ground state.
 
-The error functions take a trajectory whose alphas and phases have shape
-(..., K) for K modes and broadcast over the leading axes, so a whole grid
-of frequency errors is one call; a plain K-vector gives plain floats.
+The error functions take the end-of-gate displacements alpha_k and phases
+B_k as arrays of shape (..., K) for K modes and broadcast over the leading
+axes, so a whole grid of frequency errors is one call; plain K-vectors
+give plain floats.
 """
 
 from __future__ import annotations
@@ -22,7 +23,6 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .modes import GateCoupling
-from .trajectory import Trajectory
 
 # single-qubit sigma_y eigenvectors (|0> +- i|1>)/sqrt(2), columns = (+, -)
 _YP = np.array([1.0, 1.0j]) / np.sqrt(2.0)
@@ -69,19 +69,19 @@ def spin_eigensystem(coupling: GateCoupling) -> SpinEigensystem:
     return SpinEigensystem(eigenvalues=lam, initial=initial, target=target)
 
 
-def displacement_error(eigsys: SpinEigensystem, trajectory: Trajectory):
+def displacement_error(eigsys: SpinEigensystem, alphas):
     """Per-mode and total infidelity from residual displacement.
 
     eps_{d,k} = 1 - | (1/4) sum_branches exp(-|lambda alpha_k|^2 / 2) |^2,
     evaluated via the per-branch deficits 1 - exp(-x) so the tiny errors
     of a well-closed trajectory keep full relative precision.
 
-    Broadcasts over the leading axes of a (..., K) trajectory: per_mode
-    has its shape and the total drops the mode axis (a float for K-vectors).
+    Broadcasts over the leading axes of (..., K) ``alphas``: per_mode has
+    their shape and the total drops the mode axis (a float for K-vectors).
     """
-    if trajectory.alphas.shape[-1] != eigsys.n_modes:
-        raise ValueError("trajectory and eigensystem cover different mode sets")
-    mag2 = (np.abs(trajectory.alphas)[..., None] * eigsys.eigenvalues) ** 2
+    if np.shape(alphas)[-1] != eigsys.n_modes:
+        raise ValueError("alphas and eigensystem cover different mode sets")
+    mag2 = (np.abs(alphas)[..., None] * eigsys.eigenvalues) ** 2
     deficit = -np.expm1(-mag2 / 2.0).mean(axis=-1)  # 1 - mean overlap
     per_mode = deficit * (2.0 - deficit)
     return per_mode, _scalar(per_mode.sum(axis=-1))
@@ -96,17 +96,18 @@ def rotation_error(theta):
     return _scalar(np.square(np.asarray(theta, dtype=float) - np.pi / 2.0) / 4.0)
 
 
-def exact_fidelity(eigsys: SpinEigensystem, trajectory: Trajectory):
+def exact_fidelity(eigsys: SpinEigensystem, alphas, phases):
     """|<Phi| Psi(tau)>|^2 with every mode starting in its ground state.
 
     Branch s keeps amplitude <s|00> times, per mode, the phase
     exp(-i B_k lambda^2) and the ground-state overlap
     exp(-|lambda alpha_k|^2 / 2) of the displaced mode. Broadcasts over
-    the leading axes of a (..., K) trajectory (a float for K-vectors).
+    the leading axes of (..., K) ``alphas`` and ``phases`` (a float for
+    K-vectors).
     """
     lam = eigsys.eigenvalues
-    branch_log = -1j * trajectory.phases[..., None] * lam**2 - 0.5 * (
-        lam * np.abs(trajectory.alphas)[..., None]
+    branch_log = -1j * np.asarray(phases)[..., None] * lam**2 - 0.5 * (
+        lam * np.abs(alphas)[..., None]
     ) ** 2
     branch = np.exp(branch_log.sum(axis=-2))
     amp = np.sum(eigsys.target.conj() * eigsys.initial * branch, axis=-1)
@@ -118,8 +119,9 @@ def _scalar(values):
     return float(values) if np.ndim(values) == 0 else values
 
 
-def reduced_density_matrix(eigsys: SpinEigensystem, trajectory: Trajectory) -> np.ndarray:
-    """Two-qubit density matrix after tracing out the motion.
+def reduced_density_matrix(eigsys: SpinEigensystem, alphas, phases) -> np.ndarray:
+    """Two-qubit density matrix after tracing out the motion, from the
+    K-vectors of end-of-gate alpha_k and B_k.
 
     Off-branch coherences decay with the displacement separation:
     <lambda' alpha | lambda alpha> = exp(-|alpha|^2 (lambda - lambda')^2 / 2)
@@ -129,12 +131,12 @@ def reduced_density_matrix(eigsys: SpinEigensystem, trajectory: Trajectory) -> n
     indicate an implementation bug, not bad physics input).
     """
     lam = eigsys.eigenvalues  # (n_modes, 4)
-    b = trajectory.phases[:, None, None]
+    b = np.asarray(phases)[:, None, None]
     lam_s = lam[:, :, None]
     lam_t = lam[:, None, :]
     log_coh = (
         -1j * b * (lam_s**2 - lam_t**2)
-        - 0.5 * (np.abs(trajectory.alphas)[:, None, None] * (lam_s - lam_t)) ** 2
+        - 0.5 * (np.abs(alphas)[:, None, None] * (lam_s - lam_t)) ** 2
     )
     coherence = np.exp(log_coh.sum(axis=0))
     rho_s = np.outer(eigsys.initial, eigsys.initial.conj()) * coherence

@@ -21,7 +21,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .chain import IonChain, axial_hessian
-from .config import LaserGeometry, SystemConfig, angular_to_hz, hz_to_angular
+from .config import HBAR, ION_MASS, LaserGeometry, SystemConfig, angular_to_hz, hz_to_angular
 
 LAMB_DICKE_WARN = 0.2  # |eta| beyond this leaves the regime the model assumes
 
@@ -191,39 +191,28 @@ class GateCoupling:
         )
 
 
-def lamb_dicke_parameters(
-    modes: ModeStructure, geometry: LaserGeometry, ion: int, mass: float, hbar: float
-) -> np.ndarray:
+def lamb_dicke_parameters(modes: ModeStructure, geometry: LaserGeometry, ion: int) -> np.ndarray:
     """eta_k of one ion for every mode of one radial direction."""
-    ground_extent = np.sqrt(hbar / (2.0 * mass * modes.freqs))
+    ground_extent = np.sqrt(HBAR / (2.0 * ION_MASS * modes.freqs))
     k_proj = geometry.effective_wavevector * np.cos(geometry.projection_angle)
     return modes.participation[ion, :] * k_proj * ground_extent
 
 
-def gate_coupling(
-    modes_a: ModeStructure,
-    modes_b: ModeStructure,
-    geometry: LaserGeometry,
-    pair: tuple[int, int],
-    mass: float,
-    hbar: float,
-    even_flip: bool = False,
-) -> GateCoupling:
-    """Couplings of ``pair`` to the 2n radial modes of both directions."""
-    i1, i2 = pair
-    freqs = np.concatenate([modes_a.freqs, modes_b.freqs])
-    eta1 = np.concatenate(
-        [
-            lamb_dicke_parameters(modes_a, geometry, i1, mass, hbar),
-            lamb_dicke_parameters(modes_b, geometry, i1, mass, hbar),
-        ]
-    )
-    eta2 = np.concatenate(
-        [
-            lamb_dicke_parameters(modes_a, geometry, i2, mass, hbar),
-            lamb_dicke_parameters(modes_b, geometry, i2, mass, hbar),
-        ]
-    )
+def build_coupling(config: SystemConfig, chain: IonChain) -> GateCoupling:
+    """Couplings of the configured target pair to the 2n radial modes.
+
+    Radial-a modes come first, then radial-b. Even chains get the
+    differential pi phase (``even_flip``), which keeps the gate phase sign
+    uniform across chain lengths.
+    """
+    modes = [
+        radial_modes(chain, hz_to_angular(config.radial_a_freq_hz), "radial_a"),
+        radial_modes(chain, hz_to_angular(config.radial_b_freq_hz), "radial_b"),
+    ]
+    i1, i2 = config.target_pair
+    eta1 = np.concatenate([lamb_dicke_parameters(m, config.geometry, i1) for m in modes])
+    eta2 = np.concatenate([lamb_dicke_parameters(m, config.geometry, i2) for m in modes])
+    even_flip = config.n_ions % 2 == 0
     if even_flip:
         eta2 = -eta2
     worst = max(np.abs(eta1).max(), np.abs(eta2).max())
@@ -233,34 +222,12 @@ def gate_coupling(
             "the linearised sideband model is questionable",
             stacklevel=2,
         )
-    n = modes_a.n
     return GateCoupling(
         pair=(int(i1), int(i2)),
-        freqs=freqs,
+        freqs=np.concatenate([m.freqs for m in modes]),
         eta1=eta1,
         eta2=eta2,
-        directions=tuple([modes_a.direction] * n + [modes_b.direction] * n),
-        mode_indices=tuple(list(range(n)) + list(range(n))),
-        even_flip=bool(even_flip),
-    )
-
-
-def build_coupling(config: SystemConfig, chain: IonChain, even_flip: bool | None = None) -> GateCoupling:
-    """Chain + config -> GateCoupling for the configured target pair.
-
-    ``even_flip`` defaults to True for even chains, which keeps the gate
-    phase sign uniform across chain lengths.
-    """
-    if even_flip is None:
-        even_flip = config.n_ions % 2 == 0
-    modes_a = radial_modes(chain, hz_to_angular(config.radial_a_freq_hz), "radial_a")
-    modes_b = radial_modes(chain, hz_to_angular(config.radial_b_freq_hz), "radial_b")
-    return gate_coupling(
-        modes_a,
-        modes_b,
-        config.geometry,
-        config.target_pair,
-        mass=config.constants.ion_mass,
-        hbar=config.constants.hbar,
+        directions=tuple(m.direction for m in modes for _ in range(chain.n)),
+        mode_indices=tuple(range(chain.n)) * 2,
         even_flip=even_flip,
     )

@@ -6,15 +6,19 @@ from __future__ import annotations
 import numpy as np
 
 
+_MAX_ITER = 200
+
+
 class ConvergenceError(RuntimeError):
     """An iterative kernel failed to reach its tolerance."""
 
 
-def brent(func, a: float, b: float, xtol: float, max_iter: int = 200) -> float:
+def brent(func, a: float, b: float, xtol: float) -> float:
     """Root of ``func`` inside the sign-change bracket [a, b] (Brent's method).
 
     ``func(a)`` and ``func(b)`` must have opposite signs. Terminates once
-    the bracket shrinks below ``2*eps*|x| + xtol``.
+    the bracket shrinks below ``2*eps*|x| + xtol``; raises ConvergenceError
+    after 200 iterations.
     """
     fa = func(a)
     fb = func(b)
@@ -29,7 +33,7 @@ def brent(func, a: float, b: float, xtol: float, max_iter: int = 200) -> float:
     d = e = b - a
     eps = np.finfo(float).eps
 
-    for _ in range(max_iter):
+    for _ in range(_MAX_ITER):
         if abs(fc) < abs(fb):
             a, b, c = b, c, b
             fa, fb, fc = fb, fc, fb
@@ -72,13 +76,14 @@ def brent(func, a: float, b: float, xtol: float, max_iter: int = 200) -> float:
     raise ConvergenceError("brent exceeded the iteration limit")
 
 
-def golden_section_min(func, a: float, b: float, xtol: float, max_iter: int = 200) -> float:
-    """Location of a minimum of a unimodal ``func`` on [a, b]."""
+def golden_section_min(func, a: float, b: float, xtol: float) -> float:
+    """Location of a minimum of a unimodal ``func`` on [a, b], to ``xtol``
+    or after 200 iterations, whichever comes first."""
     invphi = (np.sqrt(5.0) - 1.0) / 2.0
     x1 = b - invphi * (b - a)
     x2 = a + invphi * (b - a)
     f1, f2 = func(x1), func(x2)
-    for _ in range(max_iter):
+    for _ in range(_MAX_ITER):
         if b - a <= xtol:
             break
         if f1 <= f2:

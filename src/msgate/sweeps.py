@@ -3,8 +3,9 @@
 Every sweep returns a SweepResult whose CSV carries a metadata header
 (config hash, grid spec, package version) sufficient to regenerate it.
 Grid cells are independent, so sweeps optionally fan out to a process
-pool; results are reassembled in grid order either way, making the
-output byte-identical for any worker count.
+pool; each task carries the SystemConfig itself and results come back
+in task order either way, making the output byte-identical for any
+worker count.
 """
 
 from __future__ import annotations
@@ -15,8 +16,9 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from . import __version__
-from .config import ConfigError, SystemConfig, angular_to_hz, config_from_dict, default_target_pair, hz_to_angular
+from .config import ConfigError, SystemConfig, angular_to_hz, default_target_pair, hz_to_angular
 from .design import (
+    SENS_HALF_RANGE_HZ,
     BracketError,
     GateDesign,
     breakdown_curve,
@@ -25,7 +27,7 @@ from .design import (
 )
 from .errors import exact_fidelity, parity_scan, reduced_density_matrix, spin_eigensystem
 from .modes import DegenerateModesError, ZigZagInstabilityError
-from .trajectory import DetuningContext, ResonanceError, mode_trajectory
+from .trajectory import ResonanceError, gate_integrals
 
 # failures that belong to the physics of a grid point; they become status rows
 DOMAIN_ERRORS = (BracketError, ZigZagInstabilityError, DegenerateModesError, ResonanceError, ConfigError)
@@ -96,19 +98,18 @@ def sweep_detuning(
     delta0_min_hz: float = -60e3,
     delta0_max_hz: float = 180e3,
     steps: int = 601,
-    pulses: tuple[str, ...] = REFERENCE_PULSES,
     unbalanced_delta0_hz: float = -40e3,
 ) -> SweepResult:
     """Error metrics versus detuning above the lowest targeted mode.
 
-    Each pulse keeps its nominal design (balanced solve for the Gaussian,
-    a fixed reference detuning for the others); moving along the grid is
-    equivalent to applying the symmetric frequency error
-    domega = delta0 - delta0_nominal to that design.
+    Each of the REFERENCE_PULSES keeps its nominal design (balanced solve
+    for the Gaussian, a fixed reference detuning for the others); moving
+    along the grid is equivalent to applying the symmetric frequency
+    error domega = delta0 - delta0_nominal to that design.
     """
     delta0_grid = np.linspace(delta0_min_hz, delta0_max_hz, steps)
     rows = []
-    for name in pulses:
+    for name in REFERENCE_PULSES:
         design = _reference_design(config, name, hz_to_angular(unbalanced_delta0_hz))
         nominal_hz = angular_to_hz(design.delta0)
         curve = breakdown_curve(design, hz_to_angular(delta0_grid - nominal_hz))
@@ -131,7 +132,7 @@ def sweep_detuning(
         delta0_min_hz=delta0_min_hz,
         delta0_max_hz=delta0_max_hz,
         steps=steps,
-        pulses=";".join(pulses),
+        pulses=";".join(REFERENCE_PULSES),
         unbalanced_delta0_hz=unbalanced_delta0_hz,
     )
     return SweepResult(
@@ -144,8 +145,7 @@ def sweep_detuning(
 # --- robustness contour over (z, domega) --------------------------------
 
 def _contour_column(task):
-    index, config_dict, z, domega_grid_hz = task
-    config = config_from_dict(config_dict)
+    config, z, domega_grid_hz = task
     cfg = replace(config, pulse=replace(config.pulse, type="trunc_gaussian", z_s=z))
     rows = []
     try:
@@ -153,7 +153,7 @@ def _contour_column(task):
     except DOMAIN_ERRORS as exc:
         for dw in domega_grid_hz:
             rows.append([z * 1e6, dw / 1e3, np.nan, np.nan, np.nan, np.nan, 1, np.nan, np.nan, type(exc).__name__])
-        return index, rows
+        return rows
     curve = breakdown_curve(design, hz_to_angular(np.asarray(domega_grid_hz)))
     d0_khz = angular_to_hz(design.delta0) / 1e3
     om_khz = angular_to_hz(design.pulse.omega0) / 1e3
@@ -172,7 +172,7 @@ def _contour_column(task):
                 "",
             ]
         )
-    return index, rows
+    return rows
 
 
 def contour(
@@ -192,12 +192,8 @@ def contour(
     """
     z_grid = np.linspace(z_min_s, z_max_s, z_steps)
     dw_grid = np.linspace(-domega_half_range_hz, domega_half_range_hz, domega_steps)
-    config_dict = config.to_dict()
-    tasks = [(i, config_dict, float(z), dw_grid) for i, z in enumerate(z_grid)]
-    results = _run_tasks(_contour_column, tasks, workers)
-    rows = []
-    for _, column_rows in sorted(results, key=lambda item: item[0]):
-        rows.extend(column_rows)
+    tasks = [(config, float(z), dw_grid) for z in z_grid]
+    rows = [row for column in _run_tasks(_contour_column, tasks, workers) for row in column]
     meta = _base_metadata(
         config,
         sweep="contour",
@@ -228,7 +224,7 @@ def contour(
 # --- chain-length study --------------------------------------------------
 
 def _chain_point(task):
-    index, config_dict, n, dx0, domega_grid_hz, sens_half_range_hz = task
+    base, n, dx0, domega_grid_hz = task
     summary = {
         "n_ions": n,
         "dx0_um": dx0 * 1e6,
@@ -236,7 +232,6 @@ def _chain_point(task):
     }
     curve_rows = []
     try:
-        base = config_from_dict(config_dict)
         cfg = replace(
             base,
             n_ions=n,
@@ -261,7 +256,7 @@ def _chain_point(task):
             dnu10_khz=angular_to_hz(dnu10) / 1e3,
             eps_s_minus10k=eps_at[-10e3],
             eps_s_plus10k=eps_at[10e3],
-            eps_s_max_3khz=sensitivity(design, half_range=hz_to_angular(sens_half_range_hz)),
+            eps_s_max_3khz=sensitivity(design),
             even_flip=design.coupling.even_flip,
         )
         for i, dw in enumerate(domega_grid_hz):
@@ -270,7 +265,7 @@ def _chain_point(task):
             )
     except DOMAIN_ERRORS as exc:
         summary["status"] = f"{type(exc).__name__}: {exc}"
-    return index, summary, curve_rows
+    return summary, curve_rows
 
 
 SUMMARY_COLUMNS = (
@@ -294,26 +289,20 @@ def chain_study(
     n_list,
     domega_half_range_hz: float = 10e3,
     domega_step_hz: float = 100.0,
-    sens_half_range_hz: float = 3e3,
     workers: int = 1,
 ) -> tuple[SweepResult, SweepResult]:
     """Designs and robustness curves across chain lengths and spacings.
 
     Returns (summary, curves). Designs that fail (no balance bracket,
     radial instability) are recorded in the summary status column and
-    the study continues.
+    the study continues. ``eps_s_max_3khz`` is ``sensitivity`` over
+    +-SENS_HALF_RANGE_HZ.
     """
     dw_grid = np.arange(-domega_half_range_hz, domega_half_range_hz + 0.5 * domega_step_hz, domega_step_hz)
-    config_dict = config.to_dict()
-    tasks = []
-    for i, dx0 in enumerate(dx0_list_m):
-        for j, n in enumerate(n_list):
-            tasks.append((i * len(n_list) + j, config_dict, int(n), float(dx0), dw_grid, sens_half_range_hz))
-    results = _run_tasks(_chain_point, tasks, workers)
-    results.sort(key=lambda item: item[0])
+    tasks = [(config, int(n), float(dx0), dw_grid) for dx0 in dx0_list_m for n in n_list]
     summary_rows = []
     curve_rows = []
-    for _, summary, curves in results:
+    for summary, curves in _run_tasks(_chain_point, tasks, workers):
         summary_rows.append([summary.get(col, "") for col in SUMMARY_COLUMNS])
         curve_rows.extend(curves)
     meta = _base_metadata(
@@ -323,7 +312,7 @@ def chain_study(
         n_list=";".join(str(n) for n in n_list),
         domega_half_range_hz=domega_half_range_hz,
         domega_step_hz=domega_step_hz,
-        sens_half_range_hz=sens_half_range_hz,
+        sens_half_range_hz=SENS_HALF_RANGE_HZ,
     )
     summary = SweepResult(columns=SUMMARY_COLUMNS, rows=summary_rows, metadata=meta)
     curves = SweepResult(
@@ -349,10 +338,10 @@ def parity_study(
     """
     override = None if delta0_override_hz is None else hz_to_angular(delta0_override_hz)
     design = design_gate(config, delta0_override=override)
-    ctx = DetuningContext(design.delta_c, hz_to_angular(domega_hz))
-    traj = mode_trajectory(design.coupling, design.pulse, ctx)
+    deltas = design.delta_c - design.coupling.freqs + hz_to_angular(domega_hz)
+    alphas, phases = gate_integrals(design.pulse, deltas)
     eigsys = spin_eigensystem(design.coupling)
-    rho = reduced_density_matrix(eigsys, traj)
+    rho = reduced_density_matrix(eigsys, alphas, phases)
     phis = np.linspace(0.0, 2.0 * np.pi, phi_steps, endpoint=False)
     scan = parity_scan(rho, phis)
     meta = _base_metadata(
@@ -363,7 +352,7 @@ def parity_study(
         delta0_khz=angular_to_hz(design.delta0) / 1e3,
         amplitude=f"{scan.amplitude:.12g}",
         fidelity_estimate=f"{scan.fidelity_estimate(rho):.12g}",
-        fidelity_exact=f"{exact_fidelity(eigsys, traj):.12g}",
+        fidelity_exact=f"{exact_fidelity(eigsys, alphas, phases):.12g}",
         degenerate_fit=int(scan.degenerate),
     )
     rows = [[phi, parity] for phi, parity in zip(scan.phis, scan.parities)]

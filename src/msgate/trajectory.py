@@ -37,14 +37,12 @@ detuning is the quantity the balanced designs drive to zero.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
 from numpy.polynomial.legendre import leggauss
 
 from .config import TWO_PI
-from .modes import GateCoupling
 from .pulses import PulseShape
 
 GL_ORDER = 8
@@ -56,36 +54,6 @@ _BLOCK = 64  # detunings per exponential table: bounds temporaries to a few MB
 
 class ResonanceError(ValueError):
     """A shifted sideband detuning sits on top of a motional mode."""
-
-
-@dataclass(frozen=True)
-class DetuningContext:
-    """Carrier detuning of the blue tone plus a symmetric frequency error.
-
-    ``domega`` models a common shift of both tones, equivalent to all
-    mode frequencies moving by -domega: every sideband detuning becomes
-    delta_k' = (delta_c - nu_k) + domega.
-    """
-
-    delta_c: float  # rad/s
-    domega: float = 0.0  # rad/s
-
-    def sideband_detunings(self, freqs: np.ndarray) -> np.ndarray:
-        return self.delta_c - np.asarray(freqs) + self.domega
-
-
-@dataclass(frozen=True)
-class Trajectory:
-    """End-of-gate displacement and phase for each mode (last axis)."""
-
-    alphas: np.ndarray  # complex, dimensionless
-    phases: np.ndarray  # B_k(tau), real
-
-
-@dataclass(frozen=True)
-class PhaseResult:
-    theta: float  # rad
-    dtheta_ddelta_c: float  # rad * s
 
 
 def square_alpha_closed_form(omega0: float, tau: float, delta: float) -> complex:
@@ -245,31 +213,10 @@ def gate_integrals(pulse: PulseShape, deltas, shifts=None, alpha=True, derivativ
     return (alphas,) + tuple(scale * scale * x for x in out[1:])
 
 
-def mode_trajectory(coupling: GateCoupling, pulse: PulseShape, ctx: DetuningContext) -> Trajectory:
-    """End-of-gate alpha_k and B_k for every mode of the coupling."""
-    alphas, phases = gate_integrals(pulse, ctx.sideband_detunings(coupling.freqs))
-    return Trajectory(alphas=alphas, phases=phases)
-
-
-def check_resonance(deltas: np.ndarray, guard: float = RESONANCE_GUARD) -> None:
-    bad = np.flatnonzero(np.abs(deltas) < guard)
+def check_resonance(deltas: np.ndarray) -> None:
+    """Raise ResonanceError if a sideband detuning is within RESONANCE_GUARD of zero."""
+    bad = np.flatnonzero(np.abs(deltas) < RESONANCE_GUARD)
     if bad.size:
         raise ResonanceError(
-            f"sideband detuning within {guard / TWO_PI:.0f} Hz of modes {bad.tolist()}"
+            f"sideband detuning within {RESONANCE_GUARD / TWO_PI:.0f} Hz of modes {bad.tolist()}"
         )
-
-
-def phase_and_derivative(
-    coupling: GateCoupling, pulse: PulseShape, ctx: DetuningContext
-) -> PhaseResult:
-    """Rotation angle and its analytic carrier-detuning derivative.
-
-    dtheta/d delta_c = sum_k eta1_k eta2_k dB/d delta at delta_k, from the
-    s R(s) transform. Raises ResonanceError if any shifted detuning comes
-    within the guard band of a mode.
-    """
-    deltas = ctx.sideband_detunings(coupling.freqs)
-    check_resonance(deltas)
-    _, phases, slopes = gate_integrals(pulse, deltas, alpha=False, derivatives=1)
-    products = coupling.eta_products
-    return PhaseResult(theta=float(products @ phases), dtheta_ddelta_c=float(products @ slopes))

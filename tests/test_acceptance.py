@@ -29,7 +29,7 @@ from msgate.errors import (
 )
 from msgate.modes import build_coupling, radial_modes
 from msgate.pulses import TruncGaussianPulse, make_pulse
-from msgate.trajectory import DetuningContext, TrajectoryEngine, engine_for, mode_trajectory
+from msgate.trajectory import TrajectoryEngine, engine_for, gate_integrals
 
 TWO_PI = 2 * np.pi
 
@@ -209,24 +209,23 @@ def test_acceptance_7_error_sum_vs_infidelity(ref_config):
     for z_us in np.linspace(15, 45, 10):
         cfg = replace(ref_config, pulse=replace(ref_config.pulse, z_s=float(z_us) * 1e-6))
         pulse = make_pulse(cfg.pulse)
-        root = solve_balance(coupling, pulse, 0, 1)
+        root = solve_balance(coupling, pulse)
         for _ in range(100):
             total += 1
             delta_c = root + TWO_PI * rng.uniform(-2e3, 2e3)
             domega = TWO_PI * rng.uniform(-2e3, 2e3)
             calibrated, _ = calibrate_omega0(coupling, pulse, delta_c)
-            ctx = DetuningContext(delta_c, domega)
-            traj = mode_trajectory(coupling, calibrated, ctx)
+            alphas, phases = gate_integrals(calibrated, delta_c - coupling.freqs + domega)
             eig = spin_eigensystem(coupling)
             from msgate.errors import displacement_error, rotation_error
 
-            _, eps_d = displacement_error(eig, traj)
-            theta = float(coupling.eta_products @ traj.phases)
+            _, eps_d = displacement_error(eig, alphas)
+            theta = float(coupling.eta_products @ phases)
             eps_s = eps_d + rotation_error(theta)
             if eps_s > 1e-3:
                 continue
             checked += 1
-            gap = abs(eps_s - (1.0 - exact_fidelity(eig, traj)))
+            gap = abs(eps_s - (1.0 - exact_fidelity(eig, alphas, phases)))
             bound = 0.2 * eps_s + 1e-9
             worst_ratio = max(worst_ratio, gap / bound)
     ok = worst_ratio <= 1.0 and checked >= 300 and total >= 1000
@@ -284,14 +283,13 @@ def test_acceptance_9_property_suite(ref_config, ref_design):
     # even_flip leaves eps_d invariant and flips theta
     from msgate.errors import displacement_error
 
-    ctx = DetuningContext(ref_design.delta_c, TWO_PI * 4e3)
-    traj = mode_trajectory(ref_design.coupling, pulse, ctx)
+    alphas, phases = gate_integrals(pulse, ref_design.delta_c - ref_design.coupling.freqs + TWO_PI * 4e3)
     eig = spin_eigensystem(ref_design.coupling)
     eig_f = spin_eigensystem(ref_design.coupling.flipped())
-    _, eps_d = displacement_error(eig, traj)
-    _, eps_d_f = displacement_error(eig_f, traj)
-    theta = float(ref_design.coupling.eta_products @ traj.phases)
-    theta_f = float(ref_design.coupling.flipped().eta_products @ traj.phases)
+    _, eps_d = displacement_error(eig, alphas)
+    _, eps_d_f = displacement_error(eig_f, alphas)
+    theta = float(ref_design.coupling.eta_products @ phases)
+    theta_f = float(ref_design.coupling.flipped().eta_products @ phases)
     # the flip permutes the four branch eigenvalues, so the float sums may
     # differ by an ulp even though the multisets are identical
     checks["flip eps_d invariant"] = abs(eps_d_f - eps_d) <= 1e-12 * max(eps_d, 1e-30)
@@ -309,9 +307,10 @@ def test_acceptance_9_property_suite(ref_config, ref_design):
     # density matrix structure and the parity-based estimate
     rho_ok, parity_ok = True, True
     for dw_khz in (0.0, 5.0, 10.0, 15.0, 20.0):
-        ctx = DetuningContext(ref_design.delta_c, TWO_PI * dw_khz * 1e3)
-        traj = mode_trajectory(ref_design.coupling, pulse, ctx)
-        rho = reduced_density_matrix(eig, traj)
+        alphas, phases = gate_integrals(
+            pulse, ref_design.delta_c - ref_design.coupling.freqs + TWO_PI * dw_khz * 1e3
+        )
+        rho = reduced_density_matrix(eig, alphas, phases)
         rho_ok &= bool(np.allclose(rho, rho.conj().T, atol=1e-10))
         rho_ok &= abs(np.trace(rho).real - 1.0) <= 1e-10
         rho_ok &= np.linalg.eigvalsh(rho).min() >= -1e-10
@@ -319,7 +318,7 @@ def test_acceptance_9_property_suite(ref_config, ref_design):
         if curve.eps_s[0] <= 0.02:
             scan = parity_scan(rho, np.linspace(0, 2 * np.pi, 64, endpoint=False))
             estimate = scan.fidelity_estimate(rho)
-            parity_ok &= abs(estimate - exact_fidelity(eig, traj)) <= 0.01
+            parity_ok &= abs(estimate - exact_fidelity(eig, alphas, phases)) <= 0.01
     checks["rho hermitian/psd/unit-trace"] = rho_ok
     checks["parity estimate within 0.01"] = parity_ok
 

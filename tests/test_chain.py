@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
 
-from msgate import PhysicalConstants, axial_freq_for_center_spacing, build_chain, equilibrium_positions
+from msgate import axial_freq_for_center_spacing, build_chain, equilibrium_positions
+from msgate.config import COULOMB_COEFF, ION_MASS
 from msgate.chain import axial_hessian, chain_for_axial_freq, center_spacing_dimensionless
 
 from conftest import three_ion_config
@@ -76,19 +77,17 @@ def test_center_spacing_inverse_three_ions():
 
 
 def test_forward_inverse_consistency():
-    constants = PhysicalConstants()
     for n in (2, 4, 7, 20):
-        omega = axial_freq_for_center_spacing(n, 3.7e-6, constants)
-        chain = chain_for_axial_freq(n, omega, constants)
+        omega = axial_freq_for_center_spacing(n, 3.7e-6)
+        chain = chain_for_axial_freq(n, omega)
         assert chain.center_spacing() == pytest.approx(3.7e-6, rel=1e-9)
 
 
 def test_two_ion_inverse_recovers_length_scale():
-    constants = PhysicalConstants()
     du = 2 * (1.0 / 4.0) ** (1.0 / 3.0)
     length = 3e-6
-    omega = axial_freq_for_center_spacing(2, du * length, constants)
-    implied = (constants.coulomb_coeff / (constants.ion_mass * omega**2)) ** (1 / 3)
+    omega = axial_freq_for_center_spacing(2, du * length)
+    implied = (COULOMB_COEFF / (ION_MASS * omega**2)) ** (1 / 3)
     assert implied == pytest.approx(length, rel=1e-12)
 
 

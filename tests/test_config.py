@@ -1,5 +1,6 @@
 import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -7,13 +8,12 @@ import pytest
 from msgate import (
     ConfigError,
     LaserGeometry,
-    PhysicalConstants,
     SystemConfig,
     angular_to_hz,
     hz_to_angular,
     load_config,
 )
-from msgate.config import config_from_dict, default_target_pair
+from msgate.config import COULOMB_COEFF, HBAR, ION_MASS, config_from_dict, default_target_pair
 
 from conftest import three_ion_config
 
@@ -31,11 +31,10 @@ def test_unit_conversion_roundtrip_ulp():
 
 
 def test_constants_match_reference_values():
-    c = PhysicalConstants()
     # 171Yb+ mass and e^2/(4 pi eps0), 5 significant figures
-    assert c.ion_mass == pytest.approx(2.8385e-25, rel=1e-4)
-    assert c.coulomb_coeff == pytest.approx(2.3071e-28, rel=1e-4)
-    assert c.hbar == pytest.approx(1.0546e-34, rel=1e-4)
+    assert ION_MASS == pytest.approx(2.8385e-25, rel=1e-4)
+    assert COULOMB_COEFF == pytest.approx(2.3071e-28, rel=1e-4)
+    assert HBAR == pytest.approx(1.0546e-34, rel=1e-4)
 
 
 def test_geometry_defaults_and_wavevector():
@@ -90,6 +89,27 @@ def test_unknown_key_rejected():
             {"n_ions": 2, "radial_a_freq_hz": 2.5e6, "radial_b_freq_hz": 2.2e6,
              "axial_freq_hz": 5e5, "axial_freq_khz": 500}
         )
+
+
+@pytest.mark.parametrize(
+    "extra, key",
+    [
+        ({"axial_freq_khz": 500}, "axial_freq_khz"),
+        ({"pulse": {"z_us": 40}}, "z_us"),
+        ({"pulse": {"type": "square", "omega0": 1e5}}, "omega0"),
+        ({"tol": {"root_hz": 1.0, "quad_abs": 1e-12}}, "quad_abs"),
+    ],
+)
+def test_unknown_key_rejected_at_every_level(extra, key):
+    raw = {"n_ions": 2, "radial_a_freq_hz": 2.5e6, "radial_b_freq_hz": 2.2e6, "axial_freq_hz": 5e5}
+    with pytest.raises(ConfigError, match=key):
+        config_from_dict(dict(raw, **extra))
+
+
+def test_shipped_config_is_valid():
+    cfg = load_config(Path(__file__).resolve().parents[1] / "configs" / "three_ion.json")
+    assert cfg.pulse.z_s == 25e-6
+    assert cfg.tol.root_hz == 1.0
 
 
 def test_parse_error(tmp_path):

@@ -3,12 +3,13 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from msgate import (
     BracketError,
-    DetuningContext,
     design_gate,
-    midpoint_guess,
+    phase_and_derivative,
     sensitivity,
     solve_balance,
 )
@@ -18,24 +19,10 @@ from msgate.design import breakdown_curve, calibrate_omega0, eps_s_curve
 from msgate.errors import displacement_error, exact_fidelity, rotation_error, spin_eigensystem
 from msgate.modes import GateCoupling, build_coupling
 from msgate.pulses import TruncGaussianPulse, make_pulse
-from msgate.trajectory import (
-    ResonanceError,
-    Trajectory,
-    TrajectoryEngine,
-    gate_integrals,
-    phase_and_derivative,
-)
+from msgate.sweeps import DOMAIN_ERRORS
+from msgate.trajectory import ResonanceError, TrajectoryEngine, gate_integrals
 
 TWO_PI = 2 * np.pi
-
-
-def test_midpoint_guess():
-    assert midpoint_guess(TWO_PI * 2.030e6, TWO_PI * 2.125e6) == pytest.approx(
-        TWO_PI * 2.0775e6, rel=1e-12
-    )
-    assert midpoint_guess(5.0, 5.0) == 5.0
-    with pytest.raises(ValueError):
-        midpoint_guess(2.0, 1.0)
 
 
 def test_midpoint_vs_solved_balance(ref_config, ref_design):
@@ -43,7 +30,7 @@ def test_midpoint_vs_solved_balance(ref_config, ref_design):
     coupling = ref_design.coupling
     nu0 = coupling.freqs[coupling.flat_index("radial_b", 0)]
     nu1 = coupling.freqs[coupling.flat_index("radial_b", 1)]
-    guess = midpoint_guess(nu0, nu1)
+    guess = 0.5 * (nu0 + nu1)
     assert abs(guess - ref_design.delta_c) / TWO_PI == pytest.approx(10.2e3, abs=2e3)
 
 
@@ -59,7 +46,7 @@ def test_balance_independent_of_trial_rabi_rate(ref_config):
     roots = []
     for omega0_hz in (0.4e5, 3.0e5):
         pulse = make_pulse(replace(ref_config.pulse, omega0_hz=omega0_hz))
-        roots.append(solve_balance(coupling, pulse, 0, 1, root_tol=root_tol))
+        roots.append(solve_balance(coupling, pulse, root_tol=root_tol))
     assert abs(roots[0] - roots[1]) <= 2 * root_tol
 
 
@@ -85,11 +72,9 @@ def test_two_ion_balance_exists():
     nu1 = coupling.freqs[coupling.flat_index("radial_b", 1)]
     # dense scan of the derivative shows exactly one sign change inside
     scan = np.linspace(nu0 + TWO_PI * 15e3, nu1 - TWO_PI * 15e3, 41)
-    signs = np.sign(
-        [phase_and_derivative(coupling, pulse, DetuningContext(dc)).dtheta_ddelta_c for dc in scan]
-    )
+    signs = np.sign(phase_and_derivative(coupling, pulse, scan)[1])
     assert np.count_nonzero(np.diff(signs)) == 1
-    root = solve_balance(coupling, pulse, 0, 1)
+    root = solve_balance(coupling, pulse)
     assert nu0 < root < nu1
 
 
@@ -104,9 +89,53 @@ def test_same_sign_products_raise_bracket_error():
     )
     pulse = TruncGaussianPulse(omega0=TWO_PI * 1e5, tau=200e-6, z=25e-6)
     with pytest.raises(BracketError) as err:
-        solve_balance(coupling, pulse, 0, 1)
+        solve_balance(coupling, pulse)
     # both endpoint derivative values are reported
     assert str(err.value).count("f(") == 2
+    assert "between modes 0 and 1 of radial_b" in str(err.value)
+
+
+def test_balance_evaluations_check_resonance_but_scan_does_not():
+    # a radial-a mode 50 Hz above the first bracket end a = nu1 + 2/z
+    pulse = TruncGaussianPulse(omega0=TWO_PI * 1e5, tau=200e-6, z=25e-6)
+    nu = TWO_PI * np.array([2.00e6, 2.10e6])
+    spectator = nu[0] + 2.0 / pulse.z + TWO_PI * 50.0
+    coupling = GateCoupling(
+        pair=(0, 1),
+        freqs=np.array([spectator, *nu]),
+        eta1=np.array([0.01, 0.05, 0.06]),
+        eta2=np.array([0.01, 0.05, -0.06]),
+        directions=("radial_a", "radial_b", "radial_b"),
+        mode_indices=(0, 0, 1),
+    )
+    with pytest.raises(ResonanceError):
+        solve_balance(coupling, pulse)
+    theta, slope = phase_and_derivative(coupling, pulse, [spectator, spectator + 1.0])
+    assert np.isfinite(theta).all() and np.isfinite(slope).all()
+
+
+@pytest.mark.parametrize("pulse_type", ["trunc_gaussian", "spline_gaussian", "square"])
+def test_phase_and_derivative_point_matches_kernel_bitwise(ref_config, pulse_type):
+    # a one-point call is the per-mode sum over gate_integrals at delta_c - nu_k,
+    # bit for bit, so Brent sees the values it saw before the array interface
+    chain = build_chain(ref_config)
+    coupling = build_coupling(ref_config, chain)
+    pulse = make_pulse(replace(ref_config.pulse, type=pulse_type))
+    for delta_c in coupling.freqs[3] + TWO_PI * np.array([11.3e3, 37.4e3, 61.9e3]):
+        theta, slope = phase_and_derivative(coupling, pulse, delta_c)
+        _, phases, slopes = gate_integrals(pulse, delta_c - coupling.freqs, alpha=False, derivatives=1)
+        assert theta.shape == slope.shape == (1,)
+        assert theta[0] == float(coupling.eta_products @ phases)
+        assert slope[0] == float(coupling.eta_products @ slopes)
+
+
+def test_phase_and_derivative_array_matches_points(ref_design):
+    coupling, pulse = ref_design.coupling, ref_design.pulse
+    grid = ref_design.delta_c + TWO_PI * np.linspace(-20e3, 20e3, 9)
+    theta, slope = phase_and_derivative(coupling, pulse, grid)
+    points = [phase_and_derivative(coupling, pulse, d) for d in grid]
+    np.testing.assert_allclose(theta, [t[0] for t, _ in points], rtol=1e-10)
+    np.testing.assert_allclose(slope, [s[0] for _, s in points], rtol=0, atol=1e-10 * np.abs(slope).max())
 
 
 def test_even_bracket_falls_back_to_scan(ref_config):
@@ -118,9 +147,9 @@ def test_even_bracket_falls_back_to_scan(ref_config):
     coupling = build_coupling(cfg, chain)
     pulse = make_pulse(cfg.pulse)
     nu1 = coupling.freqs[coupling.flat_index("radial_b", 0)]
-    root = solve_balance(coupling, pulse, 0, 1)
+    root = solve_balance(coupling, pulse)
     assert angular_to_hz(root - nu1) == pytest.approx(34.7e3, abs=0.1e3)
-    assert abs(phase_and_derivative(coupling, pulse, DetuningContext(root)).dtheta_ddelta_c) <= 1e-9
+    assert abs(phase_and_derivative(coupling, pulse, root)[1][0]) <= 1e-9
     design = design_gate(cfg)
     assert design.delta_c == root
     assert abs(design.theta - np.pi / 2) <= 1e-12
@@ -140,7 +169,7 @@ def test_calibration_quadratic_step(ref_config):
     chain = build_chain(ref_config)
     coupling = build_coupling(ref_config, chain)
     pulse = make_pulse(ref_config.pulse)
-    delta_c = solve_balance(coupling, pulse, 0, 1)
+    delta_c = solve_balance(coupling, pulse)
     calibrated, theta = calibrate_omega0(coupling, pulse, delta_c)
     assert abs(abs(theta) - np.pi / 2) <= 1e-9
     # theta = pi/8 trial would double omega0: emulate via a known rescale
@@ -246,10 +275,9 @@ def _per_point_breakdown(design, domegas):
     products = design.coupling.eta_products
     eps_d, eps_r, fid = (np.empty(domegas.size) for _ in range(3))
     for i in range(domegas.size):
-        traj = Trajectory(alphas=alphas[i], phases=phases[i])
-        _, eps_d[i] = displacement_error(eigsys, traj)
+        _, eps_d[i] = displacement_error(eigsys, alphas[i])
         eps_r[i] = rotation_error(float(products @ phases[i]))
-        fid[i] = exact_fidelity(eigsys, traj)
+        fid[i] = exact_fidelity(eigsys, alphas[i], phases[i])
     return eps_d, eps_r, fid
 
 
@@ -383,3 +411,32 @@ def test_splitting_predicts_sensitivity_across_spacings():
     dnu_b, smax_b = run(4, 4.5)  # even, 72 kHz splitting
     assert abs(dnu_a - dnu_b) < 0.05 * dnu_a
     assert max(smax_a, smax_b) / min(smax_a, smax_b) < 10.0
+
+
+@settings(derandomize=True, deadline=None, max_examples=150)
+@given(
+    n_ions=st.integers(2, 40),
+    spacing_um=st.floats(2.0, 8.0),
+    radial_b_hz=st.floats(1.9e6, 2.5e6),
+    z_us=st.floats(5.0, 60.0),
+    pulse_type=st.sampled_from(["square", "trunc_gaussian", "spline_gaussian"]),
+)
+def test_random_configs_calibrate_or_raise_a_domain_error(n_ions, spacing_um, radial_b_hz, z_us, pulse_type):
+    try:
+        cfg = SystemConfig(
+            n_ions=n_ions,
+            center_spacing_m=spacing_um * 1e-6,
+            radial_a_freq_hz=2.52e6,
+            radial_b_freq_hz=radial_b_hz,
+            target_pair=default_target_pair(n_ions),
+            pulse=PulseSpec(type=pulse_type, omega0_hz=1e5, tau_s=200e-6, z_s=z_us * 1e-6),
+        )
+        design = design_gate(cfg)
+    except DOMAIN_ERRORS:
+        return
+    assert abs(design.theta - np.pi / 2) <= 1e-9
+    assert np.isfinite(design.diagnostics["fidelity"])
+    assert design.diagnostics["balanced"]
+    h = TWO_PI * 100.0
+    _, slopes = phase_and_derivative(design.coupling, design.pulse, design.delta_c + np.array([-h, h]))
+    assert slopes[0] * slopes[1] < 0

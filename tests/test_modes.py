@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from msgate import PhysicalConstants, LaserGeometry, axial_modes, build_coupling, radial_modes
+from msgate import LaserGeometry, axial_modes, build_coupling, radial_modes
 from msgate.chain import build_chain, chain_for_axial_freq
 from msgate.config import hz_to_angular
 from msgate.modes import ZigZagInstabilityError, lamb_dicke_parameters
@@ -92,11 +92,10 @@ def test_zigzag_instability_reported():
 def test_eta_scaling_with_frequency():
     chain = chain_for_axial_freq(2, WZ)
     geo = LaserGeometry()
-    c = PhysicalConstants()
     m1 = radial_modes(chain, hz_to_angular(2.0e6))
     m2 = radial_modes(chain, hz_to_angular(4.0e6))
-    e1 = lamb_dicke_parameters(m1, geo, 0, c.ion_mass, c.hbar)
-    e2 = lamb_dicke_parameters(m2, geo, 0, c.ion_mass, c.hbar)
+    e1 = lamb_dicke_parameters(m1, geo, 0)
+    e2 = lamb_dicke_parameters(m2, geo, 0)
     # same participation; eta scales as 1/sqrt(freq), compare COM modes
     ratio = abs(e1[-1] / e2[-1])
     assert ratio == pytest.approx(np.sqrt(m2.freqs[-1] / m1.freqs[-1]), rel=1e-9)

@@ -223,6 +223,52 @@ def test_cli_workers_only_on_pooled_sweeps(capsys, command):
         assert build_parser().parse_args([pooled, "--config", "c.json", "--workers", "2"]).workers == 2
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["chain-study", "--n", "2-3-4"],
+        ["chain-study", "--n", "5-3"],
+        ["chain-study", "--n", "2,x"],
+        ["chain-study", "--dx0-um", "abc"],
+        ["oracle", "--modes", "7"],
+        ["oracle", "--modes", "0,1,2,3"],
+        ["oracle", "--modes", "0,0"],
+        ["oracle", "--modes", "-1"],
+        ["oracle", "--nmax", "3"],
+        ["oracle", "--steps", "10"],
+    ],
+    ids=" ".join,
+)
+def test_cli_malformed_arguments_exit_2(tmp_path, capsys, monkeypatch, ref_config_module, argv):
+    import msgate.cli
+
+    def no_design_work(*args, **kwargs):
+        raise AssertionError("design work started on malformed arguments")
+
+    for name in ("design_gate", "chain_study", "run_oracle"):
+        monkeypatch.setattr(msgate.cli, name, no_design_work)
+    path = write_config(tmp_path, ref_config_module)
+    try:
+        code = msgate.cli.main([argv[0], "--config", str(path), *argv[1:]])
+    except SystemExit as exc:
+        code = exc.code
+    err = capsys.readouterr().err
+    assert code == 2
+    assert "Traceback" not in err
+    assert sum("error: " in line for line in err.splitlines()) == 1
+
+
+def test_cli_argument_lists_parse():
+    from msgate.cli import build_parser
+
+    args = build_parser().parse_args(["chain-study", "--config", "c.json", "--n", "2-4, 7", "--dx0-um", "3,4.5"])
+    assert args.n == [2, 3, 4, 7]
+    assert args.dx0_um == [3.0, 4.5]
+    defaults = build_parser().parse_args(["chain-study", "--config", "c.json"])
+    assert defaults.n == list(range(2, 34)) and defaults.dx0_um == [3.0]
+    assert build_parser().parse_args(["oracle", "--config", "c.json"]).modes == (0, 1)
+
+
 def test_cli_parity_to_file(tmp_path, ref_config_module):
     from msgate.cli import main
 

@@ -1,13 +1,13 @@
 import numpy as np
 import pytest
 
-from msgate import DetuningContext, ResonanceError, TrajectoryEngine, phase_and_derivative
+from msgate import ResonanceError, TrajectoryEngine, phase_and_derivative
 from msgate.modes import GateCoupling
 from msgate.pulses import SquarePulse, TruncGaussianPulse, spline_gaussian
 from msgate.trajectory import (
+    check_resonance,
     engine_for,
     gate_integrals,
-    mode_trajectory,
     square_alpha_closed_form,
     square_phase_closed_form,
 )
@@ -176,33 +176,37 @@ def _toy_coupling():
 def test_phase_and_derivative_scalings():
     coupling = _toy_coupling()
     pulse = TruncGaussianPulse(omega0=0.8e6, tau=TAU, z=25e-6)
-    ctx = DetuningContext(delta_c=TWO_PI * 2.05e6)
-    res = phase_and_derivative(coupling, pulse, ctx)
-    res2 = phase_and_derivative(coupling, pulse.with_omega0(2 * pulse.omega0), ctx)
-    assert res2.theta == pytest.approx(4.0 * res.theta, rel=1e-10)
-    flipped = phase_and_derivative(coupling.flipped(), pulse, ctx)
-    assert flipped.theta == pytest.approx(-res.theta, rel=1e-12)
-    assert abs(flipped.dtheta_ddelta_c) == pytest.approx(abs(res.dtheta_ddelta_c), rel=1e-9)
+    delta_c = TWO_PI * 2.05e6
+    theta, slope = phase_and_derivative(coupling, pulse, delta_c)
+    theta2, _ = phase_and_derivative(coupling, pulse.with_omega0(2 * pulse.omega0), delta_c)
+    assert theta2[0] == pytest.approx(4.0 * theta[0], rel=1e-10)
+    theta_f, slope_f = phase_and_derivative(coupling.flipped(), pulse, delta_c)
+    assert theta_f[0] == pytest.approx(-theta[0], rel=1e-12)
+    assert abs(slope_f[0]) == pytest.approx(abs(slope[0]), rel=1e-9)
 
 
 def test_resonance_guard():
     coupling = _toy_coupling()
     pulse = TruncGaussianPulse(omega0=0.8e6, tau=TAU, z=25e-6)
-    ctx = DetuningContext(delta_c=TWO_PI * (2.00e6 + 50.0))
-    with pytest.raises(ResonanceError):
-        phase_and_derivative(coupling, pulse, ctx)
+    with pytest.raises(ResonanceError, match=r"within 100 Hz of modes \[0\]"):
+        check_resonance(TWO_PI * (2.00e6 + 50.0) - coupling.freqs)
+    check_resonance(TWO_PI * (2.00e6 + 150.0) - coupling.freqs)
+    # phase_and_derivative leaves the check to its callers (the balance scan runs without it)
+    theta, slope = phase_and_derivative(coupling, pulse, TWO_PI * (2.00e6 + 50.0))
+    assert np.isfinite(theta[0]) and np.isfinite(slope[0])
 
 
-def test_detuning_context_shift():
+def test_one_point_shift_folds_bitwise():
+    # a single shift is added to the detunings before the transform, so
+    # -nu_k + delta_c rounds exactly like delta_c - nu_k
     coupling = _toy_coupling()
-    ctx = DetuningContext(delta_c=TWO_PI * 2.04e6, domega=TWO_PI * 3e3)
-    deltas = ctx.sideband_detunings(coupling.freqs)
-    np.testing.assert_allclose(
-        deltas / TWO_PI, [2.04e6 - 2.00e6 + 3e3, 2.04e6 - 2.10e6 + 3e3], rtol=1e-12
-    )
-    traj = mode_trajectory(coupling, TruncGaussianPulse(omega0=1e6, tau=TAU, z=25e-6), ctx)
-    assert traj.alphas.shape == (2,)
-    assert traj.phases.shape == (2,)
+    pulse = TruncGaussianPulse(omega0=1e6, tau=TAU, z=25e-6)
+    delta_c = TWO_PI * 2.04e6 + TWO_PI * 3e3
+    shifted = gate_integrals(pulse, -coupling.freqs, shifts=delta_c, derivatives=1)
+    direct = gate_integrals(pulse, delta_c - coupling.freqs, derivatives=1)
+    for got, want in zip(shifted, direct):
+        assert got.shape == (1, 2)
+        np.testing.assert_array_equal(got[0], want)
 
 
 def _square_slope(omega0, tau, delta):
@@ -229,23 +233,23 @@ def test_square_transforms_match_closed_forms_near_zero():
 
 def test_analytic_derivatives_match_differences_of_theta():
     coupling = _toy_coupling()
-    ctx_of = lambda d: DetuningContext(delta_c=TWO_PI * 2.05e6 + d)
+    delta_c = TWO_PI * 2.05e6
     h = TWO_PI * 20.0
     for pulse in (
         TruncGaussianPulse(omega0=0.8e6, tau=TAU, z=25e-6),
         spline_gaussian(0.8e6, TAU, 18e-6, 9),
         SquarePulse(omega0=0.8e6, tau=TAU),
     ):
-        res = phase_and_derivative(coupling, pulse, ctx_of(0.0))
-        deltas = ctx_of(0.0).sideband_detunings(coupling.freqs)
+        theta0, slope = phase_and_derivative(coupling, pulse, delta_c)
+        deltas = delta_c - coupling.freqs
         curvature = coupling.eta_products @ gate_integrals(pulse, deltas, alpha=False, derivatives=2)[3]
-        theta = {k: phase_and_derivative(coupling, pulse, ctx_of(k * h / 2)).theta
+        theta = {k: phase_and_derivative(coupling, pulse, delta_c + k * h / 2)[0][0]
                  for k in (-2, -1, 1, 2)}
         # central differences at steps h and h/2, Richardson-extrapolated
         d1 = (4 * (theta[1] - theta[-1]) / h - (theta[2] - theta[-2]) / (2 * h)) / 3
-        d2 = (4 * (theta[1] - 2 * res.theta + theta[-1]) / (h / 2) ** 2
-              - (theta[2] - 2 * res.theta + theta[-2]) / h**2) / 3
-        assert res.dtheta_ddelta_c == pytest.approx(d1, rel=1e-7)
+        d2 = (4 * (theta[1] - 2 * theta0[0] + theta[-1]) / (h / 2) ** 2
+              - (theta[2] - 2 * theta0[0] + theta[-2]) / h**2) / 3
+        assert slope[0] == pytest.approx(d1, rel=1e-7)
         assert curvature == pytest.approx(d2, rel=1e-5)
 
 
