@@ -216,6 +216,7 @@ def main(argv=None) -> int:
                 design.delta_c,
                 replace(spec, mode_indices=flat),
                 domega=hz_to_angular(args.domega_khz * 1e3),
+                quad_rel=design.quad_rel,
             )
             lines = [
                 f"design delta0 = {angular_to_hz(design.delta0) / 1e3:.6g} kHz",

@@ -13,10 +13,12 @@ from __future__ import annotations
 
 import json
 import math
+import numbers
 from dataclasses import dataclass, field, fields
 from pathlib import Path
 
 TWO_PI = 2.0 * math.pi
+QUAD_REL = 1e-10  # default relative accuracy of every quadrature kernel call
 
 # SI values; the elementary charge is exact, the rest are CODATA.
 ELEMENTARY_CHARGE = 1.602176634e-19  # C
@@ -82,11 +84,11 @@ class PulseSpec:
     def __post_init__(self):
         if self.type not in PULSE_TYPES:
             raise ConfigError(f"pulse type must be one of {PULSE_TYPES}, got {self.type!r}")
-        if self.omega0_hz < 0:
+        if not self.omega0_hz >= 0:
             raise ConfigError("omega0_hz must be non-negative")
-        if self.tau_s <= 0:
+        if not self.tau_s > 0:
             raise ConfigError("tau_s must be positive")
-        if self.type != "square" and self.z_s <= 0:
+        if self.type != "square" and not self.z_s > 0:
             raise ConfigError("z_s must be positive for Gaussian pulse shapes")
         if self.type == "spline_gaussian" and self.n_knots < 4:
             raise ConfigError("n_knots must be at least 4")
@@ -94,12 +96,14 @@ class PulseSpec:
 
 @dataclass(frozen=True)
 class Tolerances:
-    quad_rel: float = 1e-10  # relative quadrature accuracy target
+    quad_rel: float = QUAD_REL  # relative accuracy that picks the quadrature panel count
     root_hz: float = 1.0  # balance-point root tolerance on delta_c, Hz
 
     def __post_init__(self):
-        if self.quad_rel <= 0 or self.root_hz <= 0:
-            raise ConfigError("tolerances must be positive")
+        if not 0.0 < self.quad_rel < 1.0:
+            raise ConfigError(f"quad_rel must lie in (0, 1), got {self.quad_rel!r}")
+        if not 0.0 < self.root_hz < math.inf:
+            raise ConfigError(f"root_hz must be positive and finite, got {self.root_hz!r}")
 
 
 @dataclass(frozen=True)
@@ -221,24 +225,47 @@ def _reject_unknown(raw: dict, allowed, where: str = "") -> None:
         raise ConfigError(f"unknown config keys{where}: {sorted(unknown)}")
 
 
+def _typed(key: str, value, kind: type):
+    """``value`` as a ``kind`` (str, int or float), or a ConfigError naming key and value.
+
+    Numbers must be finite reals and not booleans; an int must be integral
+    (3.0 is accepted as 3, 3.7 is not). Nothing is parsed from strings.
+    """
+    if kind is str:
+        if isinstance(value, str):
+            return value
+        raise ConfigError(f"{key} must be a string, got {value!r}")
+    if isinstance(value, bool) or not isinstance(value, numbers.Real) or not math.isfinite(value):
+        raise ConfigError(f"{key} must be a finite number, got {value!r}")
+    if kind is int:
+        if value != int(value):
+            raise ConfigError(f"{key} must be an integer, got {value!r}")
+        return int(value)
+    return float(value)
+
+
 def _section(raw: dict, name: str, cls):
     """A nested mapping of the config file as a ``cls`` dataclass.
 
-    Every key must name a field; each value is cast to the type of that
-    field's default, and absent fields keep their defaults.
+    Every key must name a field; each value must have the type of that
+    field's default (see ``_typed``), and absent fields keep their defaults.
     """
     section = raw.get(name, {})
     if not isinstance(section, dict):
         raise ConfigError(f"'{name}' must be a mapping")
     _reject_unknown(section, (f.name for f in fields(cls)), f" in '{name}'")
     defaults = cls()
-    return cls(**{key: type(getattr(defaults, key))(value) for key, value in section.items()})
+    return cls(**{
+        key: _typed(f"{name}.{key}", value, type(getattr(defaults, key)))
+        for key, value in section.items()
+    })
 
 
 def config_from_dict(raw: dict) -> SystemConfig:
     """Build a validated SystemConfig from a parsed key/value tree.
 
-    Unknown keys raise ConfigError at every level, naming the key.
+    Unknown keys and values of the wrong type (see ``_typed``) raise
+    ConfigError at every level, naming the key.
     """
     if not isinstance(raw, dict):
         raise ConfigError("config root must be a key/value mapping")
@@ -247,10 +274,13 @@ def config_from_dict(raw: dict) -> SystemConfig:
         if key not in raw:
             raise ConfigError(f"missing required config key: {key}")
 
+    def real(key, default=None):
+        return _typed(key, raw[key], float) if key in raw else default
+
     geometry = LaserGeometry(
-        wavelength=float(raw.get("wavelength_m", 355e-9)),
-        wavevector_factor=float(raw.get("wavevector_factor", 2.0)),
-        projection_angle=float(raw.get("projection_angle_rad", math.pi / 4.0)),
+        wavelength=real("wavelength_m", 355e-9),
+        wavevector_factor=real("wavevector_factor", 2.0),
+        projection_angle=real("projection_angle_rad", math.pi / 4.0),
     )
     pulse = _section(raw, "pulse", PulseSpec)
     tol = _section(raw, "tol", Tolerances)
@@ -259,20 +289,18 @@ def config_from_dict(raw: dict) -> SystemConfig:
     if pair is not None:
         if not (isinstance(pair, (list, tuple)) and len(pair) == 2):
             raise ConfigError("target_pair must be a pair of ion indices")
-        pair = (int(pair[0]), int(pair[1]))
+        pair = tuple(_typed("target_pair", index, int) for index in pair)
 
-    n_ions = int(raw["n_ions"])
+    n_ions = _typed("n_ions", raw["n_ions"], int)
     if n_ions < 2:
         raise ConfigError("n_ions must be at least 2 (a gate needs a pair)")
 
     return SystemConfig(
         n_ions=n_ions,
-        radial_a_freq_hz=float(raw["radial_a_freq_hz"]),
-        radial_b_freq_hz=float(raw["radial_b_freq_hz"]),
-        axial_freq_hz=(float(raw["axial_freq_hz"]) if "axial_freq_hz" in raw else None),
-        center_spacing_m=(
-            float(raw["center_spacing_m"]) if "center_spacing_m" in raw else None
-        ),
+        radial_a_freq_hz=real("radial_a_freq_hz"),
+        radial_b_freq_hz=real("radial_b_freq_hz"),
+        axial_freq_hz=real("axial_freq_hz"),
+        center_spacing_m=real("center_spacing_m"),
         geometry=geometry,
         target_pair=pair,
         pulse=pulse,

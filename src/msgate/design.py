@@ -19,12 +19,12 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .chain import IonChain, build_chain
-from .config import TWO_PI, SystemConfig, angular_to_hz, hz_to_angular
+from .config import QUAD_REL, TWO_PI, SystemConfig, angular_to_hz, hz_to_angular
 from .errors import displacement_error, exact_fidelity, rotation_error, spin_eigensystem
 from .modes import GateCoupling, build_coupling
 from .numerics import brent, golden_section_min
 from .pulses import PulseShape, make_pulse
-from .trajectory import RESONANCE_GUARD, check_resonance, gate_integrals
+from .trajectory import RESONANCE_GUARD, check_resonance, gate_integrals, gate_resolution
 
 THETA_TARGET = math.pi / 2.0
 TARGET_MODES = ("radial_b", 0, 1)  # the balanced pair: the two lowest radial-b modes
@@ -45,7 +45,11 @@ def _target_freqs(coupling: GateCoupling) -> tuple[float, float]:
 
 @dataclass(frozen=True)
 class GateDesign:
-    """A calibrated, balanced gate: coupling, pulse and carrier detuning."""
+    """A calibrated, balanced gate: coupling, pulse and carrier detuning.
+
+    ``quad_rel`` is the quadrature accuracy it was designed with; every
+    study of the design evaluates its integrals to the same accuracy.
+    """
 
     coupling: GateCoupling
     pulse: PulseShape
@@ -53,6 +57,7 @@ class GateDesign:
     theta: float  # rad, achieved rotation angle (pi/2 after calibration)
     diagnostics: dict = field(default_factory=dict)
     chain: IonChain | None = None
+    quad_rel: float = QUAD_REL
 
     @property
     def delta0(self) -> float:
@@ -88,7 +93,7 @@ def _theta(coupling: GateCoupling, values):
     return (values[..., None, :] @ coupling.eta_products[:, None])[..., 0, 0]
 
 
-def phase_and_derivative(coupling: GateCoupling, pulse: PulseShape, delta_cs):
+def phase_and_derivative(coupling: GateCoupling, pulse: PulseShape, delta_cs, quad_rel: float = QUAD_REL):
     """Rotation angle theta and its analytic derivative d theta/d delta_c.
 
     ``delta_cs`` is one carrier detuning or an array of them (rad/s); the
@@ -98,7 +103,7 @@ def phase_and_derivative(coupling: GateCoupling, pulse: PulseShape, delta_cs):
     No resonance check: callers that need one run ``check_resonance``.
     """
     _, phases, slopes = gate_integrals(
-        pulse, -coupling.freqs, shifts=delta_cs, alpha=False, derivatives=1
+        pulse, -coupling.freqs, shifts=delta_cs, alpha=False, derivatives=1, quad_rel=quad_rel
     )
     return _theta(coupling, phases), _theta(coupling, slopes)
 
@@ -127,7 +132,9 @@ def _margin_floor(pulse: PulseShape, gap: float) -> float:
     return max(1.2 / z if z else 1e-3 * gap, TWO_PI * 400.0)
 
 
-def solve_balance(coupling: GateCoupling, pulse: PulseShape, root_tol: float = TWO_PI * 1.0) -> float:
+def solve_balance(
+    coupling: GateCoupling, pulse: PulseShape, root_tol: float = TWO_PI * 1.0, quad_rel: float = QUAD_REL
+) -> float:
     """Carrier detuning between the two target modes where d theta/d delta_c = 0.
 
     The root is independent of the trial Rabi rate (theta scales as
@@ -144,7 +151,7 @@ def solve_balance(coupling: GateCoupling, pulse: PulseShape, root_tol: float = T
 
     def dtheta(delta_c: float) -> float:
         check_resonance(delta_c - coupling.freqs)
-        return float(phase_and_derivative(coupling, pulse, delta_c)[1][0])
+        return float(phase_and_derivative(coupling, pulse, delta_c, quad_rel)[1][0])
 
     margin = _bracket_margin(pulse, gap)
     a, b = nu1 + margin, nu2 - margin
@@ -154,7 +161,7 @@ def solve_balance(coupling: GateCoupling, pulse: PulseShape, root_tol: float = T
         # about six samples per 2 pi / tau, the ripple period of the finite window
         n_scan = max(33, int(np.ceil((gap - 2.0 * floor) * pulse.tau)) + 1)
         grid = np.linspace(nu1 + floor, nu2 - floor, n_scan) if 2.0 * floor < gap else np.empty(0)
-        signs = np.sign(phase_and_derivative(coupling, pulse, grid)[1])
+        signs = np.sign(phase_and_derivative(coupling, pulse, grid, quad_rel)[1])
         changes = np.flatnonzero(signs[:-1] != signs[1:])
         if not changes.size:
             direction, k1, k2 = TARGET_MODES
@@ -173,7 +180,7 @@ def solve_balance(coupling: GateCoupling, pulse: PulseShape, root_tol: float = T
 
 
 def calibrate_omega0(
-    coupling: GateCoupling, pulse: PulseShape, delta_c: float
+    coupling: GateCoupling, pulse: PulseShape, delta_c: float, quad_rel: float = QUAD_REL
 ) -> tuple[PulseShape, float]:
     """Rescale the peak Rabi rate so |theta| = pi/2, exactly in one step.
 
@@ -181,7 +188,7 @@ def calibrate_omega0(
     omega0 -> omega0 sqrt((pi/2)/|theta_trial|). Returns the rescaled
     pulse and the achieved (signed) theta.
     """
-    _, phases = gate_integrals(pulse, delta_c - coupling.freqs, alpha=False)
+    _, phases = gate_integrals(pulse, delta_c - coupling.freqs, alpha=False, quad_rel=quad_rel)
     theta_trial = float(coupling.eta_products @ phases)
     if theta_trial == 0.0:
         raise ValueError("trial rotation angle is zero; cannot calibrate omega0")
@@ -199,28 +206,33 @@ def design_gate(config: SystemConfig, delta0_override: float | None = None) -> G
     normalised to +pi/2; when the calibrated angle comes out negative
     the differential-phase flip on the second ion is toggled, which
     flips theta exactly and leaves the displacement error untouched.
-    Raises ResonanceError when the design detuning sits on a mode.
+    Every quadrature runs to ``config.tol.quad_rel``; the design keeps it,
+    and its diagnostics give the panel count and error estimate of the
+    design-point integrals. Raises ResonanceError when the design
+    detuning sits on a mode.
     """
     chain = build_chain(config)
     coupling = build_coupling(config, chain)
     pulse = make_pulse(config.pulse)
     nu1, nu2 = _target_freqs(coupling)
+    quad_rel = config.tol.quad_rel
 
     bracket_note = None
     if delta0_override is None:
-        delta_c = solve_balance(coupling, pulse, root_tol=hz_to_angular(config.tol.root_hz))
+        delta_c = solve_balance(coupling, pulse, hz_to_angular(config.tol.root_hz), quad_rel)
         bracket_note = [angular_to_hz(nu1), angular_to_hz(nu2)]
     else:
         delta_c = nu1 + delta0_override
 
     deltas = delta_c - coupling.freqs
     check_resonance(deltas)
-    pulse, theta = calibrate_omega0(coupling, pulse, delta_c)
+    pulse, theta = calibrate_omega0(coupling, pulse, delta_c, quad_rel)
     if theta < 0.0:
         coupling = coupling.flipped()
         theta = -theta
 
-    alphas, phases, slopes, curvatures = gate_integrals(pulse, deltas, derivatives=2)
+    alphas, phases, slopes, curvatures = gate_integrals(pulse, deltas, derivatives=2, quad_rel=quad_rel)
+    panels, quad_error = gate_resolution(pulse, deltas, quad_rel=quad_rel)
     eps_d, eps_r, fidelity = _error_budget(coupling, alphas, phases)
     diagnostics = {
         "dtheta_ddelta_c": float(coupling.eta_products @ slopes),
@@ -231,6 +243,8 @@ def design_gate(config: SystemConfig, delta0_override: float | None = None) -> G
         "eps_r": eps_r,
         "eps_s": eps_d + eps_r,
         "fidelity": fidelity,
+        "quad_panels": panels,
+        "quad_error": quad_error,
     }
     return GateDesign(
         coupling=coupling,
@@ -239,6 +253,7 @@ def design_gate(config: SystemConfig, delta0_override: float | None = None) -> G
         theta=float(theta),
         diagnostics=diagnostics,
         chain=chain,
+        quad_rel=quad_rel,
     )
 
 
@@ -283,7 +298,7 @@ def breakdown_curve(design: GateDesign, domegas, with_fidelity: bool = True) -> 
     """
     domegas = np.asarray(domegas, dtype=float)
     base = design.delta_c - design.coupling.freqs
-    alphas, phases = gate_integrals(design.pulse, base, shifts=domegas)
+    alphas, phases = gate_integrals(design.pulse, base, shifts=domegas, quad_rel=design.quad_rel)
     eps_d, eps_r, fid = _error_budget(design.coupling, alphas, phases, with_fidelity)
     flags = np.any(np.abs(base[None, :] + domegas[:, None]) < RESONANCE_GUARD, axis=1)
     return BreakdownCurve(domegas=domegas, eps_d=eps_d, eps_r=eps_r, fidelity=fid, flags=flags)

@@ -29,6 +29,7 @@ from math import sqrt
 import numpy as np
 from numpy.lib.stride_tricks import as_strided
 
+from .config import QUAD_REL
 from .modes import GateCoupling
 from .pulses import PulseShape
 from .trajectory import gate_integrals
@@ -246,12 +247,16 @@ def run_oracle(
     delta_c: float,
     spec: OracleSpec,
     domega: float = 0.0,
+    quad_rel: float = QUAD_REL,
 ) -> OracleReport:
     """Integrate the reduced-mode model numerically and compare.
 
     The spin branches come from a numerical eigendecomposition of the built
     S_k; one fixed-step RK4 with spec.n_steps steps evolves the whole
     (4, n_max, ..., n_max) state in them.
+
+    The analytic reference alpha and B are integrated to relative
+    accuracy ``quad_rel``; pass the design's ``quad_rel``.
 
     Raises CutoffError if the top two Fock levels of any mode hold more
     than 1e-8 population at the end of the gate (the truncation would
@@ -281,7 +286,7 @@ def run_oracle(
         )
 
     # analytic reference from the quadrature path
-    alphas, phases = gate_integrals(pulse, deltas)
+    alphas, phases = gate_integrals(pulse, deltas, quad_rel=quad_rel)
     lam = _branch_eigenvalues(eta1, eta2)
     reference = _analytic_state(lam, alphas, phases, n_max)
     overlap = abs(np.vdot(reference, psi)) ** 2

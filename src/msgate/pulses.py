@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 from numpy.polynomial.chebyshev import chebvander
@@ -98,7 +99,7 @@ class TruncGaussianPulse(PulseShape):
         # Omega(t) Omega(t - s) = omega0^2 exp(-s^2/4z^2) exp(-u^2/z^2), u = t - (tau + s)/2
         s = np.asarray(s, dtype=float)
         half_width = (self.tau - s) / (2.0 * self.z)
-        erf = np.array([math.erf(x) for x in half_width.ravel()]).reshape(s.shape)
+        erf = np.fromiter(map(math.erf, half_width.ravel()), float, half_width.size).reshape(s.shape)
         gauss = np.exp(-(s**2) / (4.0 * self.z**2))
         return self.omega0**2 * self.z * math.sqrt(math.pi) * gauss * erf
 
@@ -149,8 +150,10 @@ class SplineGaussianPulse(PulseShape):
     def pieces(self) -> int:
         return self.n_knots - 1
 
-    def autocorrelation(self, s):
-        """Exact R(s) from its piecewise-polynomial structure.
+    @cached_property
+    def _lag_coefficients(self) -> np.ndarray:
+        """Chebyshev coefficients of R on every knot-aligned lag interval,
+        shape (_SPLINE_R_DEGREE + 1, pieces); solved once per pulse.
 
         Omega is a degree-6 polynomial between knots, so on each lag
         interval s = (m + r) h (h the knot spacing, 0 <= r <= 1) R is a
@@ -160,7 +163,6 @@ class SplineGaussianPulse(PulseShape):
         with interval j - m, on [t_j, t_j + r h] interval j with j - m - 1,
         and 7-point Gauss-Legendre is exact on every such piece.
         """
-        s = np.asarray(s, dtype=float)
         knots = self._spline.x
         h = knots[1] - knots[0]
         nodes, weights = leggauss(7)
@@ -180,10 +182,15 @@ class SplineGaussianPulse(PulseShape):
             late = np.sum(late_hi[m:] * late_lo[: n - m] * w_late, axis=(0, 2))
             early = np.sum(early_hi[m + 1 :] * early_lo[: n - m - 1] * w_early, axis=(0, 2))
             samples[:, m] = h * (late + early)
-        coeffs = np.linalg.solve(chebvander(cheb, _SPLINE_R_DEGREE), samples)
-        m = np.clip(np.floor(s / h), 0, n - 1).astype(int)
+        return np.linalg.solve(chebvander(cheb, _SPLINE_R_DEGREE), samples)
+
+    def autocorrelation(self, s):
+        """Exact R(s) from its piecewise-polynomial structure (``_lag_coefficients``)."""
+        s = np.asarray(s, dtype=float)
+        h = self._spline.x[1] - self._spline.x[0]
+        m = np.clip(np.floor(s / h), 0, self.pieces - 1).astype(int)
         basis = chebvander(2.0 * (s / h - m) - 1.0, _SPLINE_R_DEGREE)
-        return np.sum(basis * np.moveaxis(coeffs[:, m], 0, -1), axis=-1)
+        return np.sum(basis * np.moveaxis(self._lag_coefficients[:, m], 0, -1), axis=-1)
 
     def with_omega0(self, omega0):
         return SplineGaussianPulse(omega0=omega0, tau=self.tau, z=self.z, n_knots=self.n_knots)

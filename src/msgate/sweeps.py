@@ -339,7 +339,7 @@ def parity_study(
     override = None if delta0_override_hz is None else hz_to_angular(delta0_override_hz)
     design = design_gate(config, delta0_override=override)
     deltas = design.delta_c - design.coupling.freqs + hz_to_angular(domega_hz)
-    alphas, phases = gate_integrals(design.pulse, deltas)
+    alphas, phases = gate_integrals(design.pulse, deltas, quad_rel=design.quad_rel)
     eigsys = spin_eigensystem(design.coupling)
     rho = reduced_density_matrix(eigsys, alphas, phases)
     phis = np.linspace(0.0, 2.0 * np.pi, phi_steps, endpoint=False)

@@ -23,12 +23,35 @@ panels, aligned to the pieces of a piecewise-polynomial envelope). Every
 evaluation is then a sum W_n exp(i delta t_n). Studies evaluate product
 grids delta[j, k] = (delta_c - nu_k) + domega_j; because the exponential
 factors as exp(i (delta_c - nu_k) t) exp(i domega_j t), a whole
-(grid x modes) batch is one matrix product of two exponential tables.
-Within each panel the exponentials factor again into a panel-start and a
-node-offset term, so a batch of J x K detunings costs (J + K) times
-(panels + order) complex exponentials plus the product. The shared
-tables are kept per shape at unit peak Rabi rate (alpha ~ omega0,
-B ~ omega0^2), so a calibrated pulse reuses its trial pulse's table.
+(grid x modes) batch is one matrix product over the panels. Within each
+panel the exponentials factor again into a panel-start and a node-offset
+term, so a batch of J x K detunings costs (J + K) times (panels + order)
+exponentials plus the products. The shared tables are kept per shape at
+unit peak Rabi rate (alpha ~ omega0, B ~ omega0^2), so a calibrated pulse
+reuses its trial pulse's table.
+
+The panel count of a call follows from a relative accuracy quad_rel
+(``tol.quad_rel`` of the config) and the call's bandwidth max |delta| tau
+over all its detunings, shifts included, rounded up to a bucket top
+2^(b/8). The counts form a ladder of rungs P = 64, 128, ..., 4 096. A
+rung serves no bandwidth above 2 pi P (more than one oscillation of
+exp(i delta t) per panel lines the panel phases up at the alias
+2 pi P, where the Gauss-Legendre errors add coherently). Below that
+limit its capacity is the widest bucket on whose probe P and 2P panels
+agree to quad_rel; buckets are tried from the limit down. The probe of a
+bucket is a coarse sweep of [0, top] and one ripple period 2 pi of the
+finite window just below the top, where the error of an alias-free rule
+is largest. A call gets the smallest rung whose capacity covers its
+bucket; the agreement gap at that capacity is its error estimate. Each
+gap is the largest difference of alpha, B, dB/d delta and d2B/d delta^2,
+each relative to the sum of its weights |W_n| (a bound on that transform
+at every detuning). A gap cannot fall below the rounding of the phases
+delta t_n and of the node sums, about eps * (top + sqrt(nodes)) of that
+scale, so this floor is added to quad_rel and no estimate is reported
+below it. Past every capacity a call uses the cap, 4 096 panels, and
+reports the gap of 2 048 and 4 096 panels on its own bucket, which may
+exceed quad_rel. Capacities depend on (shape, quad_rel, rung) alone, so
+the count of a call never depends on the calls before it.
 
 The total gate rotation angle is theta = sum_k eta1_k eta2_k B_k(tau)
 over all driven modes, and its derivative with respect to the carrier
@@ -37,46 +60,59 @@ detuning is the quantity the balanced designs drive to zero.
 
 from __future__ import annotations
 
+import math
 from functools import lru_cache
 
 import numpy as np
 from numpy.polynomial.legendre import leggauss
 
-from .config import TWO_PI
+from .config import QUAD_REL, TWO_PI
 from .pulses import PulseShape
 
 GL_ORDER = 8
-DEFAULT_PANELS = 512
+MIN_PANELS = 64  # first rung of the panel ladder
+MAX_PANELS = 4096  # the ladder's cap
 RESONANCE_GUARD = TWO_PI * 100.0  # rad/s; sideband drives closer than this are rejected
 _GL_NODES, _GL_WEIGHTS = leggauss(GL_ORDER)
 _BLOCK = 64  # detunings per exponential table: bounds temporaries to a few MB
+_RIPPLE_POINTS = 16  # probe points per ripple period 2 pi of delta tau
+_BUCKETS_PER_OCTAVE = 8  # bandwidth buckets 2^(1/8) apart
 
 
 class ResonanceError(ValueError):
     """A shifted sideband detuning sits on top of a motional mode."""
 
 
-def square_alpha_closed_form(omega0: float, tau: float, delta: float) -> complex:
-    """alpha(tau) of the square pulse: Omega0 (1 - exp(-i delta tau)) / delta."""
-    x = delta * tau
-    if abs(x) < 1e-6:
-        return omega0 * tau * (1j + x / 2.0 - 1j * x * x / 6.0)
-    return omega0 * (1.0 - np.exp(-1j * x)) / delta
+def _bucket(deltas: np.ndarray, shifts, tau: float) -> int:
+    """Smallest b >= 0 with _top(b) >= max |delta + shift| tau over the call."""
+    if deltas.size == 0 or (shifts is not None and shifts.size == 0):
+        return 0
+    lo, hi = deltas.min(), deltas.max()
+    if shifts is not None:
+        lo, hi = lo + shifts.min(), hi + shifts.max()
+    bandwidth = max(-lo, hi) * tau
+    if not math.isfinite(bandwidth):
+        raise ValueError("detunings must be finite")
+    return math.ceil(_BUCKETS_PER_OCTAVE * math.log2(bandwidth)) if bandwidth > 1.0 else 0
 
 
-def square_phase_closed_form(omega0: float, tau: float, delta: float) -> float:
-    """B(tau) of the square pulse: Omega0^2 (delta tau - sin delta tau) / delta^2."""
-    x = delta * tau
-    if abs(x) < 1e-3:
-        return omega0**2 * tau**2 * x * (1.0 / 6.0 - x * x / 120.0)
-    return omega0**2 * (x - np.sin(x)) / delta**2
+def _top(bucket: int) -> float:
+    """Largest bandwidth max |delta| tau of a bucket."""
+    return 2.0 ** (bucket / _BUCKETS_PER_OCTAVE)
 
 
-def _phasors(deltas, starts, offsets):
-    """exp(i delta t_n) on the nodes t_n = starts_p + offsets_i, shape (len(deltas), P*G)."""
-    d = deltas[:, None]
-    table = np.exp(1j * d * starts)[:, :, None] * np.exp(1j * d * offsets)[:, None, :]
-    return table.reshape(deltas.size, -1)
+def _probe(top: float) -> np.ndarray:
+    """Probe bandwidths delta tau in [0, top]: a coarse sweep, and the last
+    ripple period of the finite window (2 pi in delta tau) sampled finely,
+    where the Gauss-Legendre error of an alias-free rule is largest."""
+    ripple = top - TWO_PI * np.arange(1, _RIPPLE_POINTS) / _RIPPLE_POINTS
+    return np.concatenate([np.linspace(0.0, top, 9), ripple[ripple > 0.0]])
+
+
+def _floor(top: float) -> float:
+    """Rounding floor of a relative gap: the phases delta t_n (eps * top)
+    and the sums over the nodes (eps * sqrt(nodes) at the cap)."""
+    return np.finfo(float).eps * (top + math.sqrt(GL_ORDER * MAX_PANELS))
 
 
 class TrajectoryEngine:
@@ -85,13 +121,25 @@ class TrajectoryEngine:
     For each panel count the table holds the panel starts, the node
     offsets within a panel and the weights w_n Omega(t_n), w_n R(t_n),
     w_n t_n R(t_n) and w_n t_n^2 R(t_n); every alpha, B and dB/d delta is
-    a weighted sum of exp(i delta t_n) over that one node set. The panel
-    count is DEFAULT_PANELS unless a call asks for another.
+    a weighted sum of exp(i delta t_n) over that one node set.
+
+    A call that names no panel count gets the ladder's count for its
+    quad_rel and bandwidth bucket (see the module docstring): the first
+    rung from MIN_PANELS up, doubling, whose capacity covers the bucket;
+    a rung's capacity is the widest bucket below its alias limit 2 pi P
+    on whose probe P and 2P panels agree to quad_rel plus the rounding
+    floor. Capacities are cached per (rung, quad_rel); past all of them a
+    call gets MAX_PANELS and the gap it reports.
     """
 
     def __init__(self, pulse: PulseShape):
         self.pulse = pulse
         self._tables: dict[int, tuple] = {}
+        self._capacities: dict[tuple[int, float], tuple[int, float]] = {}
+
+    def _aligned(self, panels: int) -> int:
+        """Panels actually used: ``panels`` rounded up to whole envelope pieces."""
+        return -(-panels // self.pulse.pieces) * self.pulse.pieces
 
     def _table(self, panels: int):
         cached = self._tables.get(panels)
@@ -99,8 +147,7 @@ class TrajectoryEngine:
             return cached
         if panels < 1:
             raise ValueError("need at least one panel")
-        pieces = self.pulse.pieces
-        aligned = -(-panels // pieces) * pieces
+        aligned = self._aligned(panels)
         h = self.pulse.tau / aligned
         starts = h * np.arange(aligned)
         offsets = h * (_GL_NODES + 1.0) / 2.0
@@ -112,13 +159,69 @@ class TrajectoryEngine:
         self._tables[panels] = table
         return table
 
+    def resolution(self, deltas, shifts=None, quad_rel: float = QUAD_REL) -> tuple[int, float]:
+        """(panel count, error estimate) of a call on ``deltas`` (+ ``shifts``).
+
+        The count is the first rung whose capacity covers the call's
+        bandwidth bucket, and the estimate that rung's gap at its capacity.
+        Past every capacity the count is MAX_PANELS and the estimate the
+        gap of MAX_PANELS / 2 and MAX_PANELS panels on the call's bucket,
+        which may exceed quad_rel.
+        """
+        deltas = np.asarray(deltas, dtype=float).ravel()
+        if shifts is not None:
+            shifts = np.asarray(shifts, dtype=float).ravel()
+        bucket = _bucket(deltas, shifts, self.pulse.tau)
+        panels = MIN_PANELS
+        while panels < MAX_PANELS:
+            # a rung serves no bandwidth above its alias limit, so the
+            # capacities of rungs below the bucket are never computed
+            if _top(bucket) <= TWO_PI * self._aligned(panels):
+                capacity, gap = self._capacity(panels, quad_rel)
+                if capacity >= bucket:
+                    return panels, gap
+            panels *= 2
+        return MAX_PANELS, self._gap(MAX_PANELS // 2, _top(bucket))
+
+    def _capacity(self, panels: int, quad_rel: float) -> tuple[int, float]:
+        """Widest bucket a rung serves, and its agreement gap there.
+
+        Buckets are tried from the rung's alias limit 2 pi panels down; the
+        first on whose probe ``panels`` and ``2 * panels`` agree to quad_rel
+        (plus the rounding floor) is the capacity; -1 if none does.
+        """
+        key = (panels, quad_rel)
+        if key not in self._capacities:
+            limit = math.floor(_BUCKETS_PER_OCTAVE * math.log2(TWO_PI * self._aligned(panels)))
+            for bucket in range(limit, -1, -1):
+                gap, floor = self._gap(panels, _top(bucket)), _floor(_top(bucket))
+                if gap <= quad_rel + floor:
+                    self._capacities[key] = (bucket, max(gap, floor))
+                    break
+            else:
+                self._capacities[key] = (-1, math.inf)
+        return self._capacities[key]
+
+    def _gap(self, panels: int, top: float) -> float:
+        """Largest difference of the four transforms between ``panels`` and
+        ``2 * panels`` on the probe of bandwidth ``top``, each relative to
+        its weight sum."""
+        probe = _probe(top) / self.pulse.tau
+        coarse = self._evaluate(probe, None, panels)
+        fine = self._evaluate(probe, None, 2 * panels)
+        scale = np.abs(self._table(2 * panels)[2]).reshape(GL_ORDER, 4, -1).sum(axis=(0, 2))
+        diffs = np.array([np.abs(c - f).max() for c, f in zip(coarse, fine)])
+        return float(np.max(np.divide(diffs, scale, out=np.zeros(4), where=scale > 0)))
+
     def _transform(self, deltas, shifts, table, rows: slice):
         """sum_n W[r, n] exp(i (deltas_k + shifts_j) t_n) for the weight rows
         ``rows`` of the table, shape (J, K, R); J = 1 without shifts.
 
         One detuning costs panels + order exponentials: the panel-start
-        and node-offset factors are contracted separately. A product grid
-        is one (J x N) . (N x K R) matrix product of exponential tables.
+        and node-offset factors are contracted separately, the panel
+        starts first. Without shifts that is two real matrix products with
+        the cosines and sines of delta s_p; a product grid is one
+        (J x panels) . (panels x K order R) matrix product.
         """
         starts, offsets, weights = table
         n_panels = starts.size
@@ -128,25 +231,38 @@ class TrajectoryEngine:
             deltas, shifts = deltas + shifts[0], None
         out = np.empty((1 if shifts is None else shifts.size, deltas.size, n_rows), dtype=complex)
         if shifts is None:
+            w = w.reshape(offsets.size * n_rows, n_panels)
             for k0 in range(0, deltas.size, _BLOCK):
                 d = deltas[k0 : k0 + _BLOCK, None]
-                e_off = np.exp(1j * d * offsets)
-                inner = e_off.real @ w + 1j * (e_off.imag @ w)
-                inner = inner.reshape(d.size, n_rows, n_panels)
-                out[0, k0 : k0 + _BLOCK] = (inner @ np.exp(1j * d * starts)[:, :, None])[..., 0]
+                phase = starts[:, None] * d.T  # (panels, K)
+                by_offset = w @ np.cos(phase) + 1j * (w @ np.sin(phase))
+                by_offset = by_offset.reshape(offsets.size, n_rows, -1)
+                out[0, k0 : k0 + _BLOCK] = np.einsum("ki,irk->kr", np.exp(1j * d * offsets), by_offset)
             return out
-        w = w.reshape(offsets.size, n_rows, n_panels).transpose(1, 2, 0).reshape(n_rows, -1)
+        w = w.reshape(offsets.size, n_rows, n_panels)
         for k0 in range(0, deltas.size, _BLOCK):
-            right = _phasors(deltas[k0 : k0 + _BLOCK], starts, offsets)
-            rw = (right[:, None, :] * w[None, :, :]).reshape(-1, w.shape[1])
+            d = deltas[k0 : k0 + _BLOCK]
+            # W[i, r, p] exp(i d_k s_p) with the panels last: (panels, K * order * R)
+            right = np.exp(1j * np.multiply.outer(d, starts))[:, None, None, :] * w
+            right = right.reshape(-1, n_panels).T
+            e_off = np.exp(1j * np.multiply.outer(d, offsets))  # (K, order)
             for j0 in range(0, shifts.size, _BLOCK):
-                left = _phasors(shifts[j0 : j0 + _BLOCK], starts, offsets)
-                block = (left @ rw.T).reshape(left.shape[0], -1, n_rows)
-                out[j0 : j0 + _BLOCK, k0 : k0 + _BLOCK] = block
+                s = shifts[j0 : j0 + _BLOCK]
+                by_offset = np.exp(1j * np.multiply.outer(s, starts)) @ right
+                by_offset = by_offset.reshape(s.size, d.size, offsets.size, n_rows)
+                phases = e_off * np.exp(1j * np.multiply.outer(s, offsets))[:, None, :]  # (J, K, order)
+                out[j0 : j0 + _BLOCK, k0 : k0 + _BLOCK] = np.einsum("jki,jkir->jkr", phases, by_offset)
         return out
 
     def alpha_and_phase_many(
-        self, deltas, panels: int | None = None, *, shifts=None, alpha: bool = True, derivatives: int = 0
+        self,
+        deltas,
+        panels: int | None = None,
+        *,
+        shifts=None,
+        alpha: bool = True,
+        derivatives: int = 0,
+        quad_rel: float = QUAD_REL,
     ):
         """alpha(tau) and B(tau) for an array of detunings (rad/s).
 
@@ -155,15 +271,21 @@ class TrajectoryEngine:
         otherwise they have the shape of ``deltas``. ``alpha=False``
         returns None for alpha and skips its transform. ``derivatives``
         (0, 1 or 2) appends dB/d delta and then d2B/d delta^2 to the result.
+        ``panels`` fixes the resolution; without it the panel count is
+        ``resolution(deltas, shifts, quad_rel)``.
         """
         deltas = np.asarray(deltas, dtype=float)
-        shape = deltas.shape
         if shifts is not None:
             shifts = np.atleast_1d(np.asarray(shifts, dtype=float)).ravel()
-            shape = shifts.shape + shape
+        if panels is None:
+            panels = self.resolution(deltas, shifts, quad_rel)[0]
+        return self._evaluate(deltas, shifts, panels, alpha, derivatives)
+
+    def _evaluate(self, deltas, shifts, panels: int, alpha: bool = True, derivatives: int = 2):
+        """``alpha_and_phase_many`` at a fixed panel count, on float arrays."""
+        shape = deltas.shape if shifts is None else shifts.shape + deltas.shape
         rows = slice(0 if alpha else 1, 2 + derivatives)  # table rows: Omega, R, t R, t^2 R
-        table = self._table(DEFAULT_PANELS if panels is None else panels)
-        f = self._transform(deltas.ravel(), shifts, table, rows)
+        f = self._transform(deltas.ravel(), shifts, self._table(panels), rows)
         lag = f[..., 1 if alpha else 0 :]
         out = [1j * f[..., 0].conj().reshape(shape) if alpha else None, lag[..., 0].imag.reshape(shape)]
         if derivatives >= 1:
@@ -172,26 +294,6 @@ class TrajectoryEngine:
             out.append(-lag[..., 2].imag.reshape(shape))
         return tuple(out)
 
-    def trajectory_path(self, delta: float, n_samples: int) -> np.ndarray:
-        """alpha(t) sampled at n_samples uniform times across [0, tau].
-
-        Diagnostic resolution: each partial integral re-runs the panel
-        quadrature on [0, t], so the endpoint matches the table's alpha.
-        """
-        if n_samples < 2:
-            raise ValueError("need at least two samples")
-        tau = self.pulse.tau
-        times = np.linspace(0.0, tau, int(n_samples))
-        out = np.empty(times.size, dtype=complex)
-        out[0] = 0.0
-        for s, t in enumerate(times[1:], start=1):
-            panels = max(1, int(np.ceil(DEFAULT_PANELS * t / tau)))
-            h = t / panels
-            pts = (h * np.arange(panels))[:, None] + (h * (_GL_NODES + 1.0) / 2.0)[None, :]
-            om = self.pulse.amplitude(pts)
-            out[s] = 1j * np.sum((h / 2.0) * _GL_WEIGHTS[None, :] * om * np.exp(-1j * delta * pts))
-        return out
-
 
 @lru_cache(maxsize=32)
 def engine_for(pulse: PulseShape):
@@ -199,7 +301,7 @@ def engine_for(pulse: PulseShape):
     return TrajectoryEngine(pulse)
 
 
-def gate_integrals(pulse: PulseShape, deltas, shifts=None, alpha=True, derivatives=0):
+def gate_integrals(pulse: PulseShape, deltas, shifts=None, alpha=True, derivatives=0, quad_rel=QUAD_REL):
     """``alpha_and_phase_many`` of ``pulse`` through the shape's shared table.
 
     The table is built for the shape at unit peak Rabi rate, so every
@@ -207,10 +309,17 @@ def gate_integrals(pulse: PulseShape, deltas, shifts=None, alpha=True, derivativ
     scaled by omega0 and B and its derivatives by omega0^2.
     """
     unit = engine_for(pulse.with_omega0(1.0))
-    out = unit.alpha_and_phase_many(deltas, shifts=shifts, alpha=alpha, derivatives=derivatives)
+    out = unit.alpha_and_phase_many(
+        deltas, shifts=shifts, alpha=alpha, derivatives=derivatives, quad_rel=quad_rel
+    )
     scale = pulse.omega0
     alphas = None if out[0] is None else scale * out[0]
     return (alphas,) + tuple(scale * scale * x for x in out[1:])
+
+
+def gate_resolution(pulse: PulseShape, deltas, shifts=None, quad_rel=QUAD_REL) -> tuple[int, float]:
+    """(panel count, error estimate) of the ``gate_integrals`` call with the same arguments."""
+    return engine_for(pulse.with_omega0(1.0)).resolution(deltas, shifts, quad_rel)
 
 
 def check_resonance(deltas: np.ndarray) -> None:

@@ -177,3 +177,56 @@ def test_pulse_spec_validation():
             {"n_ions": 2, "axial_freq_hz": 5e5, "radial_a_freq_hz": 2.52e6,
              "radial_b_freq_hz": 2.19e6, "pulse": {"tau_s": -1.0}}
         )
+
+
+_BASE = {"n_ions": 3, "radial_a_freq_hz": 2.52e6, "radial_b_freq_hz": 2.19e6, "center_spacing_m": 4.5e-6}
+
+
+@pytest.mark.parametrize(
+    "patch, key, shown",
+    [
+        ({"pulse": {"tau_s": "abc"}}, "pulse.tau_s", "'abc'"),
+        ({"pulse": {"tau_s": float("nan")}}, "pulse.tau_s", "nan"),
+        ({"pulse": {"omega0_hz": True}}, "pulse.omega0_hz", "True"),
+        ({"pulse": {"z_s": float("inf")}}, "pulse.z_s", "inf"),
+        ({"pulse": {"n_knots": 12.5}}, "pulse.n_knots", "12.5"),
+        ({"pulse": {"type": 3}}, "pulse.type", "3"),
+        ({"tol": {"quad_rel": "x"}}, "tol.quad_rel", "'x'"),
+        ({"tol": {"quad_rel": float("nan")}}, "tol.quad_rel", "nan"),
+        ({"tol": {"quad_rel": float("inf")}}, "tol.quad_rel", "inf"),
+        ({"tol": {"quad_rel": 0.0}}, "quad_rel", "0.0"),
+        ({"tol": {"quad_rel": 1.0}}, "quad_rel", "1.0"),
+        ({"tol": {"quad_rel": -1e-10}}, "quad_rel", "-1e-10"),
+        ({"tol": {"root_hz": False}}, "tol.root_hz", "False"),
+        ({"n_ions": 3.7}, "n_ions", "3.7"),
+        ({"n_ions": True}, "n_ions", "True"),
+        ({"n_ions": "3"}, "n_ions", "'3'"),
+        ({"radial_b_freq_hz": "2.19e6"}, "radial_b_freq_hz", "'2.19e6'"),
+        ({"center_spacing_m": float("-inf")}, "center_spacing_m", "-inf"),
+        ({"wavelength_m": None}, "wavelength_m", "None"),
+        ({"projection_angle_rad": [0.7]}, "projection_angle_rad", r"\[0.7\]"),
+        ({"target_pair": [0, 1.5]}, "target_pair", "1.5"),
+        ({"target_pair": [True, 2]}, "target_pair", "True"),
+    ],
+    ids=lambda v: v if isinstance(v, str) else None,
+)
+def test_config_values_are_type_checked(patch, key, shown):
+    with pytest.raises(ConfigError, match=rf"{key}.*{shown}"):
+        config_from_dict(dict(_BASE, **patch))
+
+
+def test_integral_floats_are_accepted_as_integers():
+    cfg = config_from_dict(dict(_BASE, n_ions=3.0, target_pair=[0.0, 2], pulse={"n_knots": 9.0}))
+    assert cfg.n_ions == 3 and isinstance(cfg.n_ions, int)
+    assert cfg.target_pair == (0, 2) and all(isinstance(i, int) for i in cfg.target_pair)
+    assert cfg.pulse.n_knots == 9 and isinstance(cfg.pulse.n_knots, int)
+
+
+def test_non_finite_json_numbers_rejected(tmp_path):
+    # Python's json module reads NaN and Infinity; the config must not
+    for literal in ("NaN", "Infinity", "-Infinity"):
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(_BASE)[:-1] + f', "tol": {{"quad_rel": {literal}}}}}')
+        with pytest.raises(ConfigError, match="tol.quad_rel"):
+            load_config(path)
+

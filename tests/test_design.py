@@ -22,6 +22,8 @@ from msgate.pulses import TruncGaussianPulse, make_pulse
 from msgate.sweeps import DOMAIN_ERRORS
 from msgate.trajectory import ResonanceError, TrajectoryEngine, gate_integrals
 
+from conftest import three_ion_config
+
 TWO_PI = 2 * np.pi
 
 
@@ -266,6 +268,48 @@ def test_design_gate_one_kernel_call_after_calibration(ref_config, monkeypatch):
         design_gate(ref_config, delta0_override=override)
         assert calibrated == [True]
         assert calls.count(True) == 1
+
+
+def test_quad_rel_reaches_every_entry_point(monkeypatch):
+    # quad_rel of the config picks the panels of every kernel call a design
+    # and its studies make; a 3.3 MHz radial-a trap puts the calls in a
+    # bandwidth bucket where 1e-6 and 1e-12 need different panel counts
+    from msgate.config import Tolerances
+    from msgate.oracle import OracleSpec, run_oracle
+    from msgate.sweeps import parity_study
+
+    resolution = TrajectoryEngine.resolution
+    calls = []
+
+    def spy(self, deltas, shifts=None, quad_rel=None):
+        out = resolution(self, deltas, shifts, quad_rel)
+        calls.append((quad_rel, out[0]))
+        return out
+
+    monkeypatch.setattr(TrajectoryEngine, "resolution", spy)
+    panels = {}
+    for quad_rel in (1e-6, 1e-12):
+        cfg = replace(three_ion_config(), radial_a_freq_hz=3.3e6, tol=Tolerances(quad_rel=quad_rel))
+        design = design_gate(cfg)
+        oracle_modes = (design.coupling.flat_index("radial_b", 0), design.coupling.flat_index("radial_a", 2))
+        entry_points = {
+            "design_gate": lambda: design_gate(cfg),
+            "breakdown_curve": lambda: breakdown_curve(design, hz_to_angular(np.linspace(-5e3, 5e3, 11))),
+            "parity_study": lambda: parity_study(cfg, phi_steps=8),
+            "run_oracle": lambda: run_oracle(design.coupling, design.pulse, design.delta_c,
+                                             OracleSpec(oracle_modes, n_max=15, n_steps=1000),
+                                             quad_rel=design.quad_rel),
+        }
+        assert design.quad_rel == quad_rel
+        assert design.diagnostics["quad_error"] <= quad_rel
+        for name, run in entry_points.items():
+            calls.clear()
+            run()
+            assert calls and {q for q, _ in calls} == {quad_rel}, name
+            panels[name, quad_rel] = {p for _, p in calls}
+        assert design.diagnostics["quad_panels"] in panels["design_gate", quad_rel]
+    for name in entry_points:
+        assert panels[name, 1e-6] != panels[name, 1e-12], (name, panels)
 
 
 def _per_point_breakdown(design, domegas):

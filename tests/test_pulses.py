@@ -103,3 +103,50 @@ def test_validation():
         TruncGaussianPulse(omega0=1.0, tau=TAU, z=0.0)
     with pytest.raises(ValueError):
         spline_gaussian(1.0, TAU, 25e-6, n_knots=3)
+
+
+def _per_call_autocorrelation(pulse, s):
+    """The spline's R(s) with the lag-interval Chebyshev solve redone on every
+    call: the same arithmetic as ``SplineGaussianPulse.autocorrelation``
+    before its coefficients were cached per pulse."""
+    from numpy.polynomial.chebyshev import chebvander
+    from numpy.polynomial.legendre import leggauss
+
+    degree = 13
+    s = np.asarray(s, dtype=float)
+    knots = pulse.knot_times
+    h = knots[1] - knots[0]
+    nodes, weights = leggauss(7)
+    u = (nodes + 1.0) / 2.0
+    cheb = np.cos(np.pi * np.arange(degree + 1) / degree)
+    r = (cheb[:, None] + 1.0) / 2.0
+
+    def omega(x):
+        return pulse._profile(knots[:-1, None, None] + h * x[None, :, :])
+
+    late_hi, late_lo = omega(r + (1.0 - r) * u), omega((1.0 - r) * u)
+    early_hi, early_lo = omega(r * u), omega(1.0 - r + r * u)
+    w_late, w_early = (1.0 - r) * weights / 2.0, r * weights / 2.0
+    n = pulse.pieces
+    samples = np.empty((degree + 1, n))
+    for m in range(n):
+        late = np.sum(late_hi[m:] * late_lo[: n - m] * w_late, axis=(0, 2))
+        early = np.sum(early_hi[m + 1 :] * early_lo[: n - m - 1] * w_early, axis=(0, 2))
+        samples[:, m] = h * (late + early)
+    coeffs = np.linalg.solve(chebvander(cheb, degree), samples)
+    m = np.clip(np.floor(s / h), 0, n - 1).astype(int)
+    basis = chebvander(2.0 * (s / h - m) - 1.0, degree)
+    return np.sum(basis * np.moveaxis(coeffs[:, m], 0, -1), axis=-1)
+
+
+def test_spline_autocorrelation_cached_bitwise():
+    rng = np.random.default_rng(5)
+    for z, knots in ((25e-6, 13), (12e-6, 9), (40e-6, 6)):
+        pulse = spline_gaussian(1.3e6, 200e-6, z, knots)
+        lags = [rng.uniform(0.0, 200e-6, 17), np.linspace(0.0, 200e-6, 8 * 64).reshape(8, 64), 0.0]
+        for s in lags + lags:  # the second pass reads the cached coefficients
+            np.testing.assert_array_equal(pulse.autocorrelation(s), _per_call_autocorrelation(pulse, s))
+        # with_omega0 gives a new pulse, which solves its own coefficients
+        scaled = pulse.with_omega0(2.0 * pulse.omega0)
+        want = _per_call_autocorrelation(scaled, lags[0])
+        np.testing.assert_array_equal(scaled.autocorrelation(lags[0]), want)

@@ -188,6 +188,17 @@ def test_cli_invalid_config(tmp_path, capsys):
     assert "error" in capsys.readouterr().err
 
 
+def test_cli_mistyped_config_value_exits_2(tmp_path, capsys, ref_config_module):
+    from msgate.cli import main
+
+    raw = ref_config_module.to_dict()
+    raw["pulse"]["tau_s"] = "abc"
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(raw))
+    assert main(["design", "--config", str(path)]) == 2
+    assert capsys.readouterr().err == "error: pulse.tau_s must be a finite number, got 'abc'\n"
+
+
 def test_cli_resonant_design_is_an_error_line(tmp_path, capsys, ref_config_module):
     from msgate.cli import main
 

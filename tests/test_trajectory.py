@@ -1,19 +1,74 @@
+import inspect
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
-from msgate import ResonanceError, TrajectoryEngine, phase_and_derivative
+from msgate import (
+    GateDesign,
+    ResonanceError,
+    TrajectoryEngine,
+    build_chain,
+    build_coupling,
+    calibrate_omega0,
+    phase_and_derivative,
+    run_oracle,
+    solve_balance,
+)
+from msgate.config import Tolerances, default_target_pair
 from msgate.modes import GateCoupling
 from msgate.pulses import SquarePulse, TruncGaussianPulse, spline_gaussian
 from msgate.trajectory import (
+    _GL_NODES,
+    _GL_WEIGHTS,
+    MAX_PANELS,
     check_resonance,
     engine_for,
     gate_integrals,
-    square_alpha_closed_form,
-    square_phase_closed_form,
+    gate_resolution,
 )
+
+from conftest import three_ion_config
 
 TAU = 200e-6
 TWO_PI = 2 * np.pi
+
+
+def square_alpha_closed_form(omega0: float, tau: float, delta: float) -> complex:
+    """alpha(tau) of the square pulse: Omega0 (1 - exp(-i delta tau)) / delta."""
+    x = delta * tau
+    if abs(x) < 1e-6:
+        return omega0 * tau * (1j + x / 2.0 - 1j * x * x / 6.0)
+    return omega0 * (1.0 - np.exp(-1j * x)) / delta
+
+
+def square_phase_closed_form(omega0: float, tau: float, delta: float) -> float:
+    """B(tau) of the square pulse: Omega0^2 (delta tau - sin delta tau) / delta^2."""
+    x = delta * tau
+    if abs(x) < 1e-3:
+        return omega0**2 * tau**2 * x * (1.0 / 6.0 - x * x / 120.0)
+    return omega0**2 * (x - np.sin(x)) / delta**2
+
+
+def trajectory_path(pulse, delta: float, n_samples: int, panels: int = 512) -> np.ndarray:
+    """alpha(t) sampled at n_samples uniform times across [0, tau].
+
+    Each partial integral runs the panel quadrature on [0, t] with
+    ``panels * t / tau`` panels (at least one), so the endpoint uses the
+    same rule as a ``panels``-panel table.
+    """
+    if n_samples < 2:
+        raise ValueError("need at least two samples")
+    times = np.linspace(0.0, pulse.tau, int(n_samples))
+    out = np.empty(times.size, dtype=complex)
+    out[0] = 0.0
+    for s, t in enumerate(times[1:], start=1):
+        n = max(1, int(np.ceil(panels * t / pulse.tau)))
+        h = t / n
+        pts = (h * np.arange(n))[:, None] + (h * (_GL_NODES + 1.0) / 2.0)[None, :]
+        om = pulse.amplitude(pts)
+        out[s] = 1j * np.sum((h / 2.0) * _GL_WEIGHTS[None, :] * om * np.exp(-1j * delta * pts))
+    return out
 
 
 def _triangle_sum(pulse, delta, grid):
@@ -147,19 +202,17 @@ def test_double_integral_equivalence():
 
 def test_trajectory_path():
     sq = SquarePulse(omega0=1.0e6, tau=TAU)
-    eng = TrajectoryEngine(sq)
     # delta tau = 2 pi: one full loop returning to the origin
     d = TWO_PI / TAU
-    path = eng.trajectory_path(d, 41)
+    path = trajectory_path(sq, d, 41)
     assert path[0] == 0.0
     assert abs(path[-1]) < 1e-9 * 1.0e6 * TAU
     g = TruncGaussianPulse(omega0=1.0e6, tau=TAU, z=25e-6)
-    ge = TrajectoryEngine(g)
-    path_g = ge.trajectory_path(TWO_PI * 37e3, 17)
-    a_end = ge.alpha_and_phase_many(TWO_PI * 37e3)[0]
+    path_g = trajectory_path(g, TWO_PI * 37e3, 17)
+    a_end = TrajectoryEngine(g).alpha_and_phase_many(TWO_PI * 37e3)[0]
     assert path_g[-1] == pytest.approx(a_end, abs=1e-9 * abs(a_end) + 1e-12)
     with pytest.raises(ValueError):
-        eng.trajectory_path(d, 1)
+        trajectory_path(sq, d, 1)
 
 
 def _toy_coupling():
@@ -304,3 +357,87 @@ def test_autocorrelation_against_dense_quadrature():
         scale = _dense_autocorrelation(pulse, 0.0)
         np.testing.assert_allclose(got, want, rtol=0, atol=1e-12 * scale)
         assert pulse.autocorrelation(TAU) == pytest.approx(0.0, abs=1e-13 * scale)
+
+
+SHAPES = {
+    "square": SquarePulse(omega0=1.0, tau=TAU),
+    "trunc_gaussian": TruncGaussianPulse(omega0=1.0, tau=TAU, z=25e-6),
+    "spline_gaussian": spline_gaussian(1.0, TAU, 25e-6, 13),
+}
+
+
+def _modes(n_ions, spacing=3e-6):
+    cfg = replace(three_ion_config(), n_ions=n_ions, center_spacing_m=spacing,
+                  target_pair=default_target_pair(n_ions))
+    coupling = build_coupling(cfg, build_chain(cfg))
+    return coupling.freqs, coupling.freqs[coupling.flat_index("radial_b", 0)]
+
+
+def _weight_sums(pulse, panels=2048):
+    """Integrals of |Omega|, |R|, s |R| and s^2 |R| over [0, tau], by dense
+    Gauss-Legendre: the scale each transform's error is measured against."""
+    h = pulse.tau / panels
+    t = (h * (np.arange(panels)[:, None] + (_GL_NODES + 1.0) / 2.0)).ravel()
+    w = np.tile(h / 2.0 * _GL_WEIGHTS, panels)
+    r = np.abs(pulse.autocorrelation(t))
+    return np.array([w @ np.abs(pulse.amplitude(t)), w @ r, w @ (t * r), w @ (t * t * r)])
+
+
+@pytest.mark.parametrize("shape", SHAPES)
+def test_error_estimate_bounds_the_true_error(shape):
+    pulse = SHAPES[shape]
+    scales = _weight_sums(pulse)
+    shifts = TWO_PI * np.linspace(-10e3, 10e3, 21)
+    chain_freqs, chain_nu1 = _modes(33)  # the widest chain-study bandwidth
+    spline_freqs, spline_nu1 = _modes(9)  # the -40 kHz design whose alpha is ~1e-5 of its scale
+    widest = np.abs(chain_nu1 + TWO_PI * 30e3 - chain_freqs).max() + shifts.max()
+    cases = {
+        "chain N=33": (chain_nu1 + TWO_PI * 30e3 - chain_freqs, shifts),
+        "N=9 at -40 kHz": (spline_nu1 - TWO_PI * 40e3 - spline_freqs, shifts),
+        "uniform": (np.linspace(-widest, widest, 1201), None),
+        "narrow": (TWO_PI * np.linspace(-60e3, 60e3, 241), None),
+    }
+    eng = TrajectoryEngine(pulse)
+    for name, (deltas, grid) in cases.items():
+        panels, estimate = eng.resolution(deltas, grid)
+        assert panels < MAX_PANELS, name
+        assert estimate <= 1e-10 + 1e-12, name
+        got = eng.alpha_and_phase_many(deltas, shifts=grid, derivatives=2)
+        ref = eng.alpha_and_phase_many(deltas, MAX_PANELS, shifts=grid, derivatives=2)
+        errors = [np.abs(a - b).max() / s for a, b, s in zip(got, ref, scales)]
+        assert max(errors) <= estimate, (name, panels, errors, estimate)
+
+
+def test_panel_choice_independent_of_history():
+    base = TWO_PI * np.array([-370e3, -41e3, 37e3, 133e3])
+    grid = TWO_PI * np.linspace(-10e3, 10e3, 21)
+    for pulse in SHAPES.values():
+        engine_for.cache_clear()
+        cold = gate_integrals(pulse, base, shifts=grid, derivatives=2)
+        engine_for.cache_clear()
+        gate_integrals(pulse, TWO_PI * np.array([-2.5e6, 4e6]))  # a much wider bandwidth first
+        warm = gate_integrals(pulse, base, shifts=grid, derivatives=2)
+        for a, b in zip(cold, warm):
+            np.testing.assert_array_equal(a, b)
+
+
+def test_quad_rel_picks_the_panel_count():
+    pulse = SHAPES["trunc_gaussian"]
+    deltas = TWO_PI * np.linspace(-1.2e6, 1.2e6, 5)
+    loose, tight = (gate_resolution(pulse, deltas, quad_rel=q) for q in (1e-6, 1e-12))
+    assert loose[0] < tight[0]
+    assert loose[1] <= 1e-6 and tight[1] <= 1e-12 + 1e-12
+    # the value a call gets is the value at the resolution it reports
+    for q, (panels, _) in ((1e-6, loose), (1e-12, tight)):
+        chosen = gate_integrals(pulse, deltas, derivatives=2, quad_rel=q)
+        fixed = engine_for(pulse).alpha_and_phase_many(deltas, panels, derivatives=2)
+        for a, b in zip(chosen, fixed):
+            np.testing.assert_array_equal(a, b)
+
+
+def test_quad_rel_defaults_are_the_config_default():
+    default = Tolerances().quad_rel
+    for func in (TrajectoryEngine.alpha_and_phase_many, TrajectoryEngine.resolution, gate_integrals,
+                 gate_resolution, phase_and_derivative, solve_balance, calibrate_omega0, run_oracle):
+        assert inspect.signature(func).parameters["quad_rel"].default is default, func.__name__
+    assert GateDesign.__dataclass_fields__["quad_rel"].default is default
