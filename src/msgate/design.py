@@ -141,10 +141,11 @@ def solve_balance(
     omega0^2 uniformly). If the derivative does not change sign at the
     initial margins (the bracket then holds an even number of roots), it
     is scanned across the interval the margin floor allows, and Brent
-    polishes the sign change nearest the midpoint of the two modes. Every
-    Brent evaluation raises ResonanceError within the guard band of a mode;
-    the scan does not check. A BracketError reports both initial endpoint
-    derivatives.
+    polishes the sign change nearest the midpoint of the two modes. Brent
+    reuses the endpoint derivatives of the initial bracket; a scanned
+    bracket's ends are evaluated afresh. Every Brent evaluation raises
+    ResonanceError within the guard band of a mode; the scan does not
+    check. A BracketError reports both initial endpoint derivatives.
     """
     nu1, nu2 = _target_freqs(coupling)
     gap = nu2 - nu1
@@ -173,7 +174,8 @@ def solve_balance(
         centres = 0.5 * (grid[changes] + grid[changes + 1])
         i = changes[np.argmin(np.abs(centres - 0.5 * (nu1 + nu2)))]
         a, b = grid[i], grid[i + 1]
-    root = brent(dtheta, a, b, xtol=root_tol)
+        fa = fb = None  # the scan's batched values round differently from dtheta's
+    root = brent(dtheta, a, b, xtol=root_tol, fa=fa, fb=fb)
     if not (nu1 < root < nu2):
         raise BracketError("balance root escaped the inter-mode interval")
     return float(root)

@@ -13,15 +13,17 @@ class ConvergenceError(RuntimeError):
     """An iterative kernel failed to reach its tolerance."""
 
 
-def brent(func, a: float, b: float, xtol: float) -> float:
+def brent(func, a: float, b: float, xtol: float, fa: float | None = None, fb: float | None = None) -> float:
     """Root of ``func`` inside the sign-change bracket [a, b] (Brent's method).
 
-    ``func(a)`` and ``func(b)`` must have opposite signs. Terminates once
-    the bracket shrinks below ``2*eps*|x| + xtol``; raises ConvergenceError
-    after 200 iterations.
+    ``func(a)`` and ``func(b)`` must have opposite signs; a caller that
+    has them already passes them as ``fa`` and ``fb``, and ``func`` is
+    then not called at that end. Terminates once the bracket shrinks
+    below ``2*eps*|x| + xtol``; raises ConvergenceError after 200
+    iterations.
     """
-    fa = func(a)
-    fb = func(b)
+    fa = func(a) if fa is None else fa
+    fb = func(b) if fb is None else fb
     if fa == 0.0:
         return a
     if fb == 0.0:

@@ -62,6 +62,12 @@ class PulseShape:
         """Same shape rescaled to a new peak Rabi rate."""
         raise NotImplementedError
 
+    @cached_property
+    def unit_rate(self) -> "PulseShape":
+        """``with_omega0(1.0)``, built once per pulse (a spline pulse refits
+        its spline on every construction)."""
+        return self.with_omega0(1.0)
+
 
 @dataclass(frozen=True)
 class SquarePulse(PulseShape):

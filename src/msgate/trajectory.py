@@ -25,7 +25,10 @@ grids delta[j, k] = (delta_c - nu_k) + domega_j; because the exponential
 factors as exp(i (delta_c - nu_k) t) exp(i domega_j t), a whole
 (grid x modes) batch is one matrix product over the panels. Within each
 panel the exponentials factor again into a panel-start and a node-offset
-term, so a batch of J x K detunings costs (J + K) times (panels + order)
+term. The panel starts are uniform, s_p = p h, so with p = q B + r
+(B about sqrt(panels)) the panel-start term is exp(i delta h B q) times
+exp(i delta h r), two short tables joined by one complex product. A batch
+of J x K detunings then costs (J + K) times (2 sqrt(panels) + order)
 exponentials plus the products. The shared tables are kept per shape at
 unit peak Rabi rate (alpha ~ omega0, B ~ omega0^2), so a calibrated pulse
 reuses its trial pulse's table.
@@ -113,6 +116,22 @@ def _floor(top: float) -> float:
     """Rounding floor of a relative gap: the phases delta t_n (eps * top)
     and the sums over the nodes (eps * sqrt(nodes) at the cap)."""
     return np.finfo(float).eps * (top + math.sqrt(GL_ORDER * MAX_PANELS))
+
+
+def _panel_phasors(deltas: np.ndarray, starts: np.ndarray) -> np.ndarray:
+    """exp(i delta_k s_p) for the uniform panel starts s_p = p h, shape (panels, K).
+
+    With p = q B + r and B = ceil(sqrt(panels)) the phasor is
+    exp(i delta s_qB) exp(i delta s_r): two tables of about sqrt(panels)
+    exponentials each, joined by one complex product. Where B does not
+    divide the panel count the product runs to the next multiple of B and
+    is cut back. Each factor's phase rounds like the direct one, so the
+    phasor differs from exp(i delta s_p) by a few ulp times |delta s_p|.
+    """
+    block = math.isqrt(starts.size - 1) + 1
+    coarse = np.exp(1j * np.multiply.outer(starts[::block], deltas))  # (Q, K)
+    fine = np.exp(1j * np.multiply.outer(starts[:block], deltas))  # (B, K)
+    return (coarse[:, None, :] * fine[None, :, :]).reshape(-1, deltas.size)[: starts.size]
 
 
 class TrajectoryEngine:
@@ -217,11 +236,12 @@ class TrajectoryEngine:
         """sum_n W[r, n] exp(i (deltas_k + shifts_j) t_n) for the weight rows
         ``rows`` of the table, shape (J, K, R); J = 1 without shifts.
 
-        One detuning costs panels + order exponentials: the panel-start
-        and node-offset factors are contracted separately, the panel
-        starts first. Without shifts that is two real matrix products with
-        the cosines and sines of delta s_p; a product grid is one
-        (J x panels) . (panels x K order R) matrix product.
+        One detuning costs about 2 sqrt(panels) + order exponentials
+        (``_panel_phasors``): the panel-start and node-offset factors are
+        contracted separately, the panel starts first. Without shifts that
+        is one real matrix product with the cosines and sines of
+        delta s_p; a product grid is one (J x panels) . (panels x K order R)
+        matrix product.
         """
         starts, offsets, weights = table
         n_panels = starts.size
@@ -233,22 +253,24 @@ class TrajectoryEngine:
         if shifts is None:
             w = w.reshape(offsets.size * n_rows, n_panels)
             for k0 in range(0, deltas.size, _BLOCK):
-                d = deltas[k0 : k0 + _BLOCK, None]
-                phase = starts[:, None] * d.T  # (panels, K)
-                by_offset = w @ np.cos(phase) + 1j * (w @ np.sin(phase))
+                d = deltas[k0 : k0 + _BLOCK]
+                # a complex (panels, K) table read as real (panels, 2K): its
+                # columns interleave cos and sin, so one real product takes both
+                by_offset = (w @ _panel_phasors(d, starts).view(float)).view(complex)
                 by_offset = by_offset.reshape(offsets.size, n_rows, -1)
-                out[0, k0 : k0 + _BLOCK] = np.einsum("ki,irk->kr", np.exp(1j * d * offsets), by_offset)
+                out[0, k0 : k0 + _BLOCK] = np.einsum("ki,irk->kr", np.exp(1j * d[:, None] * offsets), by_offset)
             return out
         w = w.reshape(offsets.size, n_rows, n_panels)
         for k0 in range(0, deltas.size, _BLOCK):
             d = deltas[k0 : k0 + _BLOCK]
-            # W[i, r, p] exp(i d_k s_p) with the panels last: (panels, K * order * R)
-            right = np.exp(1j * np.multiply.outer(d, starts))[:, None, None, :] * w
+            # W[i, r, p] exp(i d_k s_p) with the panels last: (panels, K * order * R);
+            # the phasors are made detuning-major first, for unit-stride reads
+            right = np.ascontiguousarray(_panel_phasors(d, starts).T)[:, None, None, :] * w
             right = right.reshape(-1, n_panels).T
             e_off = np.exp(1j * np.multiply.outer(d, offsets))  # (K, order)
             for j0 in range(0, shifts.size, _BLOCK):
                 s = shifts[j0 : j0 + _BLOCK]
-                by_offset = np.exp(1j * np.multiply.outer(s, starts)) @ right
+                by_offset = np.ascontiguousarray(_panel_phasors(s, starts).T) @ right
                 by_offset = by_offset.reshape(s.size, d.size, offsets.size, n_rows)
                 phases = e_off * np.exp(1j * np.multiply.outer(s, offsets))[:, None, :]  # (J, K, order)
                 out[j0 : j0 + _BLOCK, k0 : k0 + _BLOCK] = np.einsum("jki,jkir->jkr", phases, by_offset)
@@ -308,7 +330,7 @@ def gate_integrals(pulse: PulseShape, deltas, shifts=None, alpha=True, derivativ
     pulse that differs only in omega0 shares one engine; alpha is then
     scaled by omega0 and B and its derivatives by omega0^2.
     """
-    unit = engine_for(pulse.with_omega0(1.0))
+    unit = engine_for(pulse.unit_rate)
     out = unit.alpha_and_phase_many(
         deltas, shifts=shifts, alpha=alpha, derivatives=derivatives, quad_rel=quad_rel
     )
@@ -319,7 +341,7 @@ def gate_integrals(pulse: PulseShape, deltas, shifts=None, alpha=True, derivativ
 
 def gate_resolution(pulse: PulseShape, deltas, shifts=None, quad_rel=QUAD_REL) -> tuple[int, float]:
     """(panel count, error estimate) of the ``gate_integrals`` call with the same arguments."""
-    return engine_for(pulse.with_omega0(1.0)).resolution(deltas, shifts, quad_rel)
+    return engine_for(pulse.unit_rate).resolution(deltas, shifts, quad_rel)
 
 
 def check_resonance(deltas: np.ndarray) -> None:

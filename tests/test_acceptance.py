@@ -185,13 +185,16 @@ def test_acceptance_6_oracle_equivalence(ref_config, ref_design):
     sign_fixed = np.all(np.sign(rep.phase_numeric) == np.sign(rep.phase_analytic)) and np.allclose(
         rep.phase_numeric, rep.phase_analytic, rtol=1e-6
     )
-    ok = rep.overlap >= 1 - 1e-6 and bool(sign_fixed) and rep.leakage.max() <= 1e-8
+    leakage = rep.leakage.max()
+    ok = rep.overlap >= 1 - 1e-6 and bool(sign_fixed) and leakage <= 1e-8
+    # below 1e-30 the top-level population is rounding noise of the amplitudes
+    leakage_note = "< 1e-30" if leakage < 1e-30 else f"{leakage:.1e}"
     line = report(
         6,
         "oracle equivalence",
         ok,
         f"overlap = {rep.overlap:.9f} (>= 1-1e-6); B sign/values match: {bool(sign_fixed)}; "
-        f"leakage {rep.leakage.max():.1e}",
+        f"leakage {leakage_note} (<= 1e-8)",
         t0,
     )
     assert ok, line

@@ -117,6 +117,26 @@ def test_balance_evaluations_check_resonance_but_scan_does_not():
 
 
 @pytest.mark.parametrize("pulse_type", ["trunc_gaussian", "spline_gaussian", "square"])
+def test_balance_solve_evaluates_each_detuning_once(ref_config, monkeypatch, pulse_type):
+    import msgate.design
+
+    chain = build_chain(ref_config)
+    coupling = build_coupling(ref_config, chain)
+    pulse = make_pulse(replace(ref_config.pulse, type=pulse_type))
+    root = solve_balance(coupling, pulse)
+    evaluated = []
+
+    def counted(coupling, pulse, delta_cs, quad_rel):
+        evaluated.append(float(delta_cs))
+        return phase_and_derivative(coupling, pulse, delta_cs, quad_rel)
+
+    monkeypatch.setattr(msgate.design, "phase_and_derivative", counted)
+    assert solve_balance(coupling, pulse) == root
+    # the two bracket ends, then one call per Brent iterate
+    assert len(evaluated) == len(set(evaluated)) >= 3
+
+
+@pytest.mark.parametrize("pulse_type", ["trunc_gaussian", "spline_gaussian", "square"])
 def test_phase_and_derivative_point_matches_kernel_bitwise(ref_config, pulse_type):
     # a one-point call is the per-mode sum over gate_integrals at delta_c - nu_k,
     # bit for bit, so Brent sees the values it saw before the array interface

@@ -57,3 +57,19 @@ def test_spline_rejects_bad_input():
         NaturalCubicSpline([0.0, 1.0], [1.0, 2.0])
     with pytest.raises(ValueError):
         NaturalCubicSpline([0.0, 1.0, 1.0], [1.0, 2.0, 3.0])
+
+
+def test_brent_takes_known_endpoint_values():
+    calls = []
+
+    def f(x):
+        calls.append(x)
+        return np.cos(x) - 0.3 * x
+
+    plain = brent(f, 0.0, 2.0, xtol=1e-12)
+    evaluated = len(calls)
+    calls.clear()
+    given = brent(f, 0.0, 2.0, xtol=1e-12, fa=f(0.0), fb=f(2.0))
+    assert given == plain  # same iterates, bit for bit
+    assert len(calls) == evaluated  # the two ends were not evaluated again
+    assert calls.count(0.0) == calls.count(2.0) == 1

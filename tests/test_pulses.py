@@ -150,3 +150,24 @@ def test_spline_autocorrelation_cached_bitwise():
         scaled = pulse.with_omega0(2.0 * pulse.omega0)
         want = _per_call_autocorrelation(scaled, lags[0])
         np.testing.assert_array_equal(scaled.autocorrelation(lags[0]), want)
+
+
+def test_kernel_calls_fit_a_spline_pulse_once(monkeypatch):
+    import msgate.pulses
+    from msgate.trajectory import gate_integrals
+
+    pulse = spline_gaussian(1.3e6, TAU, 25e-6, 13)
+    fits = []
+
+    class CountedSpline(msgate.pulses.NaturalCubicSpline):
+        def __init__(self, x, y):
+            fits.append(1)
+            super().__init__(x, y)
+
+    monkeypatch.setattr(msgate.pulses, "NaturalCubicSpline", CountedSpline)
+    first = gate_integrals(pulse, 2 * np.pi * np.array([7e3, 41e3]))
+    for _ in range(4):
+        again = gate_integrals(pulse, 2 * np.pi * np.array([7e3, 41e3]))
+    assert len(fits) <= 1  # the unit-rate pulse the engine is looked up by
+    for a, b in zip(first, again):
+        np.testing.assert_array_equal(a, b)

@@ -6,6 +6,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from msgate.oracle import CutoffError
 from msgate.sweeps import DOMAIN_ERRORS, chain_study, contour, parity_study, sweep_detuning
@@ -110,6 +112,39 @@ def test_chain_study_worker_determinism(ref_config_module):
     s2, c2 = chain_study(ref_config_module, workers=2, **kwargs)
     assert s1.to_csv() == s2.to_csv()
     assert c1.to_csv() == c2.to_csv()
+
+
+def _nan_only_in_failed_rows(result):
+    """No NaN outside a row whose status is non-empty (tables without a
+    status column hold successful designs only)."""
+    status = result.columns.index("status") if "status" in result.columns else None
+    for row in result.rows:
+        if status is None or row[status] == "":
+            assert not any(isinstance(c, float) and np.isnan(c) for c in row), row
+
+
+@settings(derandomize=True, deadline=None, max_examples=25)
+@given(
+    z_us=st.lists(st.floats(5.0, 60.0), min_size=1, max_size=3),
+    half_range_khz=st.floats(1.0, 12.0),
+    domega_steps=st.integers(1, 4),
+    n_list=st.lists(st.integers(2, 8), min_size=1, max_size=2, unique=True),
+    dx0_um=st.lists(st.floats(0.8, 6.0), min_size=1, max_size=2),
+    step_khz=st.floats(1.0, 6.0),
+)
+def test_sweeps_identical_for_one_and_two_workers(z_us, half_range_khz, domega_steps, n_list, dx0_um, step_khz):
+    config = three_ion_config()
+    grid = dict(z_min_s=min(z_us) * 1e-6, z_max_s=max(z_us) * 1e-6, z_steps=len(z_us),
+                domega_half_range_hz=half_range_khz * 1e3, domega_steps=domega_steps)
+    serial, pooled = (contour(config, workers=w, **grid) for w in (1, 2))
+    assert serial.to_csv() == pooled.to_csv()
+    _nan_only_in_failed_rows(serial)
+    study = dict(dx0_list_m=[d * 1e-6 for d in dx0_um], n_list=n_list,
+                 domega_half_range_hz=half_range_khz * 1e3, domega_step_hz=step_khz * 1e3)
+    serial, pooled = (chain_study(config, workers=w, **study) for w in (1, 2))
+    for one, two in zip(serial, pooled):
+        assert one.to_csv() == two.to_csv()
+        _nan_only_in_failed_rows(one)
 
 
 def test_chain_study_records_failures(ref_config_module):

@@ -22,6 +22,7 @@ from msgate.trajectory import (
     _GL_NODES,
     _GL_WEIGHTS,
     MAX_PANELS,
+    _panel_phasors,
     check_resonance,
     engine_for,
     gate_integrals,
@@ -364,6 +365,26 @@ SHAPES = {
     "trunc_gaussian": TruncGaussianPulse(omega0=1.0, tau=TAU, z=25e-6),
     "spline_gaussian": spline_gaussian(1.0, TAU, 25e-6, 13),
 }
+
+
+@pytest.mark.parametrize(
+    "shape, panels",
+    [
+        ("spline_gaussian", 256),  # 264 aligned panels, B = 17
+        ("spline_gaussian", 512),  # 516 aligned panels, B = 23
+        ("square", 128),  # B = 12
+        ("square", MAX_PANELS),  # the cap, B = 64
+    ],
+)
+def test_split_phasors_match_direct_exponentials(shape, panels):
+    starts = TrajectoryEngine(SHAPES[shape])._table(panels)[0]
+    # up to the rung's widest bandwidth, its alias limit 2 pi panels
+    deltas = np.linspace(-1.0, 1.0, 41) * TWO_PI * starts.size / TAU
+    phase = np.multiply.outer(starts, deltas)
+    got = _panel_phasors(deltas, starts)
+    assert got.shape == phase.shape
+    ulps = np.abs(got - np.exp(1j * phase)) / (np.finfo(float).eps * (1.0 + np.abs(phase)))
+    assert ulps.max() <= 4.0
 
 
 def _modes(n_ions, spacing=3e-6):
