@@ -142,8 +142,8 @@ def solve_balance(
     initial margins (the bracket then holds an even number of roots), it
     is scanned across the interval the margin floor allows, and Brent
     polishes the sign change nearest the midpoint of the two modes. Brent
-    reuses the endpoint derivatives of the initial bracket; a scanned
-    bracket's ends are evaluated afresh. Every Brent evaluation raises
+    starts from the derivatives already known at its bracket ends (the
+    initial endpoints' or the scan's). Every Brent evaluation raises
     ResonanceError within the guard band of a mode; the scan does not
     check. A BracketError reports both initial endpoint derivatives.
     """
@@ -162,7 +162,8 @@ def solve_balance(
         # about six samples per 2 pi / tau, the ripple period of the finite window
         n_scan = max(33, int(np.ceil((gap - 2.0 * floor) * pulse.tau)) + 1)
         grid = np.linspace(nu1 + floor, nu2 - floor, n_scan) if 2.0 * floor < gap else np.empty(0)
-        signs = np.sign(phase_and_derivative(coupling, pulse, grid, quad_rel)[1])
+        values = phase_and_derivative(coupling, pulse, grid, quad_rel)[1]
+        signs = np.sign(values)
         changes = np.flatnonzero(signs[:-1] != signs[1:])
         if not changes.size:
             direction, k1, k2 = TARGET_MODES
@@ -173,8 +174,7 @@ def solve_balance(
             )
         centres = 0.5 * (grid[changes] + grid[changes + 1])
         i = changes[np.argmin(np.abs(centres - 0.5 * (nu1 + nu2)))]
-        a, b = grid[i], grid[i + 1]
-        fa = fb = None  # the scan's batched values round differently from dtheta's
+        a, b, fa, fb = grid[i], grid[i + 1], values[i], values[i + 1]
     root = brent(dtheta, a, b, xtol=root_tol, fa=fa, fb=fb)
     if not (nu1 < root < nu2):
         raise BracketError("balance root escaped the inter-mode interval")

@@ -116,23 +116,27 @@ def test_balance_evaluations_check_resonance_but_scan_does_not():
     assert np.isfinite(theta).all() and np.isfinite(slope).all()
 
 
-@pytest.mark.parametrize("pulse_type", ["trunc_gaussian", "spline_gaussian", "square"])
-def test_balance_solve_evaluates_each_detuning_once(ref_config, monkeypatch, pulse_type):
+@pytest.mark.parametrize(
+    "pulse_type, z_s",
+    [("trunc_gaussian", 25e-6), ("spline_gaussian", 25e-6), ("square", 25e-6),
+     ("trunc_gaussian", 5e-6 + 3 * 55e-6 / 99)],  # the last one scans for its bracket
+)
+def test_balance_solve_evaluates_each_detuning_once(ref_config, monkeypatch, pulse_type, z_s):
     import msgate.design
 
-    chain = build_chain(ref_config)
-    coupling = build_coupling(ref_config, chain)
-    pulse = make_pulse(replace(ref_config.pulse, type=pulse_type))
+    cfg = replace(ref_config, pulse=replace(ref_config.pulse, type=pulse_type, z_s=z_s))
+    coupling = build_coupling(cfg, build_chain(cfg))
+    pulse = make_pulse(cfg.pulse)
     root = solve_balance(coupling, pulse)
     evaluated = []
 
     def counted(coupling, pulse, delta_cs, quad_rel):
-        evaluated.append(float(delta_cs))
+        evaluated.extend(np.atleast_1d(delta_cs).tolist())
         return phase_and_derivative(coupling, pulse, delta_cs, quad_rel)
 
     monkeypatch.setattr(msgate.design, "phase_and_derivative", counted)
     assert solve_balance(coupling, pulse) == root
-    # the two bracket ends, then one call per Brent iterate
+    # the bracket ends (and the scan grid), then one call per Brent iterate
     assert len(evaluated) == len(set(evaluated)) >= 3
 
 
