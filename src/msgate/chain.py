@@ -20,6 +20,11 @@ from .config import COULOMB_COEFF, ION_MASS, SystemConfig, hz_to_angular
 from .numerics import ConvergenceError
 
 
+def _center_pair(n: int) -> tuple[int, int]:
+    i = (n - 1) // 2
+    return (i, i + 1)
+
+
 @dataclass(frozen=True)
 class IonChain:
     """Immutable equilibrium configuration of ``n`` ions."""
@@ -36,9 +41,7 @@ class IonChain:
 
     def center_pair(self) -> tuple[int, int]:
         """Indices of the two designated centre ions (right neighbour for odd n)."""
-        if self.n % 2 == 0:
-            return (self.n // 2 - 1, self.n // 2)
-        return ((self.n - 1) // 2, (self.n + 1) // 2)
+        return _center_pair(self.n)
 
     def center_spacing(self) -> float:
         """Separation of the designated centre ions in metres."""
@@ -114,10 +117,9 @@ def equilibrium_positions(n: int) -> np.ndarray:
 
 def center_spacing_dimensionless(n: int) -> float:
     """Scaled separation of the designated centre ions."""
+    i, j = _center_pair(n)
     u = equilibrium_positions(n)
-    if n % 2 == 0:
-        return float(u[n // 2] - u[n // 2 - 1])
-    return float(u[(n + 1) // 2] - u[(n - 1) // 2])
+    return float(u[j] - u[i])
 
 
 def axial_freq_for_center_spacing(n: int, spacing: float) -> float:

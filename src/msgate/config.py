@@ -84,8 +84,8 @@ class PulseSpec:
     def __post_init__(self):
         if self.type not in PULSE_TYPES:
             raise ConfigError(f"pulse type must be one of {PULSE_TYPES}, got {self.type!r}")
-        if not self.omega0_hz >= 0:
-            raise ConfigError("omega0_hz must be non-negative")
+        if not self.omega0_hz > 0:
+            raise ConfigError(f"pulse.omega0_hz must be positive, got {self.omega0_hz!r}")
         if not self.tau_s > 0:
             raise ConfigError("tau_s must be positive")
         if self.type != "square" and not self.z_s > 0:

@@ -22,7 +22,7 @@ from .chain import IonChain, build_chain
 from .config import QUAD_REL, TWO_PI, SystemConfig, angular_to_hz, hz_to_angular
 from .errors import displacement_error, exact_fidelity, rotation_error, spin_eigensystem
 from .modes import GateCoupling, build_coupling
-from .numerics import brent, golden_section_min
+from .numerics import brent
 from .pulses import PulseShape, make_pulse
 from .trajectory import RESONANCE_GUARD, check_resonance, gate_integrals, gate_resolution
 
@@ -311,23 +311,41 @@ def eps_s_curve(design: GateDesign, domegas) -> np.ndarray:
     return breakdown_curve(design, domegas, with_fidelity=False).eps_s
 
 
+def _vertex(x: float, h: float, y) -> float:
+    """Vertex of the parabola through (x - h, y[0]), (x, y[1]), (x + h, y[2]).
+
+    A flat or concave triple has no interior minimum to step to; it
+    returns ``x``, so the step can never yield NaN.
+    """
+    curvature = y[0] - 2.0 * y[1] + y[2]
+    if not curvature > 0.0:
+        return x
+    return x + 0.5 * h * (y[0] - y[2]) / curvature
+
+
 def sensitivity(design: GateDesign) -> float:
     """Worst eps_s within +-SENS_HALF_RANGE_HZ of the error that minimises eps_s.
 
-    The minimum is located on a 50 Hz grid and polished by golden section
-    to 1 Hz; the maximum over the window is then taken on the same grid
-    (window endpoints included).
+    The minimum is located on a 50 Hz grid. An interior one is polished
+    by parabolic vertices: the first through the grid triple around the
+    argmin, then two more, each through a +-1 Hz stencil around the last
+    vertex evaluated in one batched call. Every vertex is clipped to the
+    grid triple's interval. The maximum over the window is then taken on
+    a 50 Hz grid (window endpoints included), where the window's steep
+    edges make it follow the minimiser to first order.
     """
     half_range, grid_step = hz_to_angular(SENS_HALF_RANGE_HZ), _SENS_GRID_STEP
     search = 2.0 * half_range
     grid = np.arange(-search, search + 0.5 * grid_step, grid_step)
     vals = eps_s_curve(design, grid)
     i_min = int(np.argmin(vals))
+    best = grid[i_min]
     if 0 < i_min < grid.size - 1:
         lo, hi = grid[i_min - 1], grid[i_min + 1]
-        best = golden_section_min(lambda w: eps_s_curve(design, [w])[0], lo, hi, _SENS_REFINE_TOL)
-    else:
-        best = grid[i_min]
+        best = np.clip(_vertex(best, grid_step, vals[i_min - 1 : i_min + 2]), lo, hi)
+        for _ in range(2):
+            stencil = best + _SENS_REFINE_TOL * np.array([-1.0, 0.0, 1.0])
+            best = np.clip(_vertex(best, _SENS_REFINE_TOL, eps_s_curve(design, stencil)), lo, hi)
     window = np.arange(best - half_range, best + half_range + 0.5 * grid_step, grid_step)
     window[-1] = best + half_range  # include the far endpoint exactly
     return float(eps_s_curve(design, window).max())

@@ -46,7 +46,6 @@ class ModeStructure:
     direction: str  # 'axial' | 'radial_a' | 'radial_b'
     freqs: np.ndarray = field(repr=False)
     participation: np.ndarray = field(repr=False)
-    labels: tuple[str, ...] = ()
 
     @property
     def n(self) -> int:
@@ -74,22 +73,6 @@ def _fix_column_signs(vectors: np.ndarray) -> np.ndarray:
     return v
 
 
-def _labels(direction: str, n: int) -> tuple[str, ...]:
-    names = [""] * n
-    if direction == "axial":
-        names[0] = "com"
-        if n >= 2:
-            names[1] = "stretch"
-    else:
-        names[-1] = "com"
-        if n >= 3:
-            names[-2] = "tilt"
-            names[0] = "zigzag"
-        elif n == 2:
-            names[0] = "rocking"
-    return tuple(names)
-
-
 def _check_nondegenerate(freqs: np.ndarray, direction: str) -> None:
     gaps = np.diff(freqs)
     if np.any(gaps < 1e-6 * freqs[:-1]):
@@ -107,7 +90,6 @@ def axial_modes(chain: IonChain) -> ModeStructure:
         direction="axial",
         freqs=freqs,
         participation=_fix_column_signs(b),
-        labels=_labels("axial", chain.n),
     )
 
 
@@ -140,7 +122,6 @@ def radial_modes(chain: IonChain, trap_freq: float, direction: str = "radial_b")
         direction=direction,
         freqs=freqs,
         participation=_fix_column_signs(b),
-        labels=_labels(direction, chain.n),
     )
 
 

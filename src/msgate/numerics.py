@@ -1,5 +1,5 @@
-"""Dependency-light numerical kernels: Brent root finding, golden-section
-minimisation and natural cubic splines, in plain numpy."""
+"""Dependency-light numerical kernels: Brent root finding and natural
+cubic splines, in plain numpy."""
 
 from __future__ import annotations
 
@@ -78,27 +78,6 @@ def brent(func, a: float, b: float, xtol: float, fa: float | None = None, fb: fl
     raise ConvergenceError("brent exceeded the iteration limit")
 
 
-def golden_section_min(func, a: float, b: float, xtol: float) -> float:
-    """Location of a minimum of a unimodal ``func`` on [a, b], to ``xtol``
-    or after 200 iterations, whichever comes first."""
-    invphi = (np.sqrt(5.0) - 1.0) / 2.0
-    x1 = b - invphi * (b - a)
-    x2 = a + invphi * (b - a)
-    f1, f2 = func(x1), func(x2)
-    for _ in range(_MAX_ITER):
-        if b - a <= xtol:
-            break
-        if f1 <= f2:
-            b, x2, f2 = x2, x1, f1
-            x1 = b - invphi * (b - a)
-            f1 = func(x1)
-        else:
-            a, x1, f1 = x1, x2, f2
-            x2 = a + invphi * (b - a)
-            f2 = func(x2)
-    return 0.5 * (a + b)
-
-
 class NaturalCubicSpline:
     """Natural cubic spline through (x, y) with zero end curvature.
 
@@ -120,29 +99,12 @@ class NaturalCubicSpline:
 
     @staticmethod
     def _second_derivatives(x, y):
-        n = x.size
         h = np.diff(x)
         # tridiagonal system for the interior second derivatives
-        diag = 2.0 * (h[:-1] + h[1:])
+        matrix = np.diag(2.0 * (h[:-1] + h[1:])) + np.diag(h[1:-1], 1) + np.diag(h[1:-1], -1)
         rhs = 6.0 * ((y[2:] - y[1:-1]) / h[1:] - (y[1:-1] - y[:-2]) / h[:-1])
-        sub = h[:-1].copy()
-        sup = h[1:].copy()
-        # Thomas algorithm
-        k = n - 2
-        cp = np.zeros(k)
-        dp = np.zeros(k)
-        cp[0] = sup[0] / diag[0]
-        dp[0] = rhs[0] / diag[0]
-        for i in range(1, k):
-            denom = diag[i] - sub[i] * cp[i - 1]
-            cp[i] = sup[i] / denom
-            dp[i] = (rhs[i] - sub[i] * dp[i - 1]) / denom
-        interior = np.zeros(k)
-        interior[-1] = dp[-1]
-        for i in range(k - 2, -1, -1):
-            interior[i] = dp[i] - cp[i] * interior[i + 1]
-        m = np.zeros(n)
-        m[1:-1] = interior
+        m = np.zeros(x.size)
+        m[1:-1] = np.linalg.solve(matrix, rhs)
         return m
 
     def __call__(self, t):

@@ -113,19 +113,25 @@ def _spin_basis() -> np.ndarray:
     return np.stack([np.kron(yp, yp), np.kron(yp, ym), np.kron(ym, yp), np.kron(ym, ym)], axis=1)
 
 
-def _analytic_state(lam, alphas, phases, n_max):
-    """Sum over spin branches of coherent-product states with B phases."""
+def _branch_states(lam, alphas, n_max):
+    """|s> times the coherent product of displacements lambda_k[s] alpha_k,
+    one (4, n_max, ..., n_max) state per spin branch s, stacked on axis 0."""
     basis = _spin_basis()
     n_modes = lam.shape[0]
-    shape = (4,) + (n_max,) * n_modes
-    state = np.zeros(shape, dtype=complex)
+    states = []
     for s in range(4):
-        weight = 0.5 * np.exp(-1j * np.sum(phases * lam[:, s] ** 2))  # <s|00> = 1/2
-        branch = np.array([1.0 + 0j])
+        coh = np.array([1.0 + 0j])
         for k in range(n_modes):
-            branch = np.multiply.outer(branch, _coherent_vector(lam[k, s] * alphas[k], n_max))
-        branch = branch.reshape(shape[1:])
-        state += weight * np.multiply.outer(basis[:, s], branch)
+            coh = np.multiply.outer(coh, _coherent_vector(lam[k, s] * alphas[k], n_max))
+        states.append(np.multiply.outer(basis[:, s], coh.reshape((n_max,) * n_modes)))
+    return np.stack(states)
+
+
+def _analytic_state(lam, phases, branches):
+    """Sum over spin branches of the coherent-product states with B phases."""
+    state = np.zeros(branches.shape[1:], dtype=complex)
+    for s in range(4):
+        state += 0.5 * np.exp(-1j * np.sum(phases * lam[:, s] ** 2)) * branches[s]  # <s|00> = 1/2
     return state
 
 
@@ -288,10 +294,11 @@ def run_oracle(
     # analytic reference from the quadrature path
     alphas, phases = gate_integrals(pulse, deltas, quad_rel=quad_rel)
     lam = _branch_eigenvalues(eta1, eta2)
-    reference = _analytic_state(lam, alphas, phases, n_max)
+    branches = _branch_states(lam, alphas, n_max)
+    reference = _analytic_state(lam, phases, branches)
     overlap = abs(np.vdot(reference, psi)) ** 2
 
-    alpha_num, b_num = _extract_mode_quantities(psi, lam, alphas, phases, n_max, n_modes)
+    alpha_num, b_num = _extract_mode_quantities(psi, lam, phases, branches, n_max, n_modes)
 
     return OracleReport(
         overlap=float(overlap),
@@ -304,7 +311,7 @@ def run_oracle(
     )
 
 
-def _extract_mode_quantities(psi, lam, alphas, phases, n_max, n_modes):
+def _extract_mode_quantities(psi, lam, phases, branches, n_max, n_modes):
     """Per-mode alpha and B read off the numeric state.
 
     alpha comes from <a_k> in the spin branch with the largest eigenvalue
@@ -325,13 +332,7 @@ def _extract_mode_quantities(psi, lam, alphas, phases, n_max, n_modes):
     # phase of <s, coh | psi> for the branches (++) and (+-); in mode k's
     # share below the other modes' B cancel in the single-mode difference
     # because their lambdas are equal there
-    amp = {}
-    for s in (0, 1):
-        coh = np.array([1.0 + 0j])
-        for k in range(n_modes):
-            coh = np.multiply.outer(coh, _coherent_vector(lam[k, s] * alphas[k], n_max))
-        full = np.multiply.outer(basis[:, s], coh.reshape(shape[1:]))
-        amp[s] = np.vdot(full, psi)
+    amp = [np.vdot(branches[s], psi) for s in (0, 1)]
     lam_sq_diff = lam[:, 0] ** 2 - lam[:, 1] ** 2
     total = -np.angle(amp[0] / amp[1])
 

@@ -207,6 +207,8 @@ _BASE = {"n_ions": 3, "radial_a_freq_hz": 2.52e6, "radial_b_freq_hz": 2.19e6, "c
         ({"projection_angle_rad": [0.7]}, "projection_angle_rad", r"\[0.7\]"),
         ({"target_pair": [0, 1.5]}, "target_pair", "1.5"),
         ({"target_pair": [True, 2]}, "target_pair", "True"),
+        ({"pulse": {"omega0_hz": 0}}, "pulse.omega0_hz", "0.0"),
+        ({"pulse": {"omega0_hz": -1e5}}, "pulse.omega0_hz", "-100000.0"),
     ],
     ids=lambda v: v if isinstance(v, str) else None,
 )

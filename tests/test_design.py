@@ -15,7 +15,7 @@ from msgate import (
 )
 from msgate.chain import build_chain
 from msgate.config import PulseSpec, SystemConfig, angular_to_hz, default_target_pair, hz_to_angular
-from msgate.design import breakdown_curve, calibrate_omega0, eps_s_curve
+from msgate.design import SENS_HALF_RANGE_HZ, _vertex, breakdown_curve, calibrate_omega0, eps_s_curve
 from msgate.errors import displacement_error, exact_fidelity, rotation_error, spin_eigensystem
 from msgate.modes import GateCoupling, build_coupling
 from msgate.pulses import TruncGaussianPulse, make_pulse
@@ -401,6 +401,47 @@ def test_sensitivity_monotone_and_consistent(ref_design):
         )
         values.append(sensitivity(design_gate(cfg)))
     assert values[0] < values[1] < values[2]
+
+
+def test_vertex_exact_on_parabola_and_middle_point_otherwise():
+    f = lambda w: 3.0 * (w - 0.37) ** 2 + 1.0
+    assert _vertex(0.0, 1.0, [f(-1.0), f(0.0), f(1.0)]) == pytest.approx(0.37, abs=1e-15)
+    assert _vertex(2.0, 0.5, [f(1.5), f(2.0), f(2.5)]) == pytest.approx(0.37, abs=1e-14)
+    # flat, linear and concave triples have no vertex to step to
+    for y in ([1.0, 1.0, 1.0], [1.0, 2.0, 3.0], [0.0, 1.0, 0.5]):
+        assert _vertex(2.0, 0.5, y) == 2.0
+
+
+@pytest.mark.parametrize("n_ions", [23, 33])
+def test_sensitivity_matches_a_finely_refined_minimiser(n_ions):
+    # the window maximum follows the minimiser to first order, because it
+    # sits on the window's steep edge; compare against a minimiser refined
+    # on ever finer grids down to 0.01 Hz
+    cfg = three_ion_config()
+    cfg = replace(cfg, n_ions=n_ions, center_spacing_m=3e-6, target_pair=default_target_pair(n_ions))
+    design = design_gate(cfg)
+    best = 0.0
+    for step_hz, span in ((50.0, 120), (1.0, 60), (0.01, 60)):
+        points = best + hz_to_angular(step_hz) * np.arange(-span, span + 1)
+        best = points[np.argmin(eps_s_curve(design, points))]
+    window = best + hz_to_angular(np.linspace(-SENS_HALF_RANGE_HZ, SENS_HALF_RANGE_HZ, 121))
+    assert sensitivity(design) == pytest.approx(eps_s_curve(design, window).max(), rel=1e-5, abs=0)
+
+
+def test_sensitivity_makes_four_kernel_calls(ref_design, monkeypatch):
+    # an interior minimum: the search grid, two +-1 Hz stencils, the window
+    grid = hz_to_angular(np.linspace(-2 * SENS_HALF_RANGE_HZ, 2 * SENS_HALF_RANGE_HZ, 241))
+    assert 0 < np.argmin(eps_s_curve(ref_design, grid)) < grid.size - 1
+    kernel = TrajectoryEngine.alpha_and_phase_many
+    calls = []
+
+    def counted_kernel(self, *args, **kwargs):
+        calls.append(1)
+        return kernel(self, *args, **kwargs)
+
+    monkeypatch.setattr(TrajectoryEngine, "alpha_and_phase_many", counted_kernel)
+    sensitivity(ref_design)
+    assert len(calls) == 4
 
 
 def test_odd_root_farther_from_second_mode_than_even():

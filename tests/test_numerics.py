@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from msgate.numerics import NaturalCubicSpline, brent, golden_section_min
+from msgate.numerics import NaturalCubicSpline, brent
 
 
 def test_brent_polynomial_root():
@@ -18,15 +18,6 @@ def test_brent_transcendental():
 def test_brent_needs_sign_change():
     with pytest.raises(ValueError):
         brent(lambda x: x * x + 1.0, -1.0, 1.0, xtol=1e-10)
-
-
-def test_golden_section():
-    # offset quadratic: resolution is limited by sqrt(eps) of the offset scale
-    x = golden_section_min(lambda x: (x - 0.7) ** 2 + 1.0, -2.0, 3.0, xtol=1e-10)
-    assert x == pytest.approx(0.7, abs=1e-7)
-    # pure quadratic: the interval tolerance itself is reachable
-    x = golden_section_min(lambda x: (x - 0.7) ** 2, -2.0, 3.0, xtol=1e-10)
-    assert x == pytest.approx(0.7, abs=1e-9)
 
 
 def test_spline_interpolates_and_is_natural():
@@ -50,6 +41,36 @@ def test_spline_reproduces_cubic_with_natural_ends():
     line = NaturalCubicSpline(x, 2.0 * x + 1.0)
     t = np.linspace(-1, 1, 100)
     np.testing.assert_allclose(line(t), 2.0 * t + 1.0, atol=1e-12)
+
+
+def _thomas_second_derivatives(x, y):
+    """Reference: the tridiagonal natural-spline system by the Thomas algorithm."""
+    h = np.diff(x)
+    diag = 2.0 * (h[:-1] + h[1:])
+    rhs = 6.0 * ((y[2:] - y[1:-1]) / h[1:] - (y[1:-1] - y[:-2]) / h[:-1])
+    k = x.size - 2
+    cp, dp = np.zeros(k), np.zeros(k)
+    cp[0], dp[0] = h[1] / diag[0], rhs[0] / diag[0]
+    for i in range(1, k):
+        denom = diag[i] - h[i] * cp[i - 1]
+        cp[i] = h[i + 1] / denom
+        dp[i] = (rhs[i] - h[i] * dp[i - 1]) / denom
+    m = np.zeros(x.size)
+    m[-2] = dp[-1]
+    for i in range(k - 2, -1, -1):
+        m[i + 1] = dp[i] - cp[i] * m[i + 2]
+    return m
+
+
+@pytest.mark.parametrize("n", [3, 4, 13, 101])
+def test_spline_second_derivatives_match_thomas_reference(n):
+    rng = np.random.default_rng(n)
+    x = np.sort(rng.uniform(0.0, 1.0, n))
+    y = np.exp(-(((x - 0.5) / 0.2) ** 2)) + 0.1 * rng.normal(size=n)
+    reference = _thomas_second_derivatives(x, y)
+    # a different elimination order: rounding of a well-conditioned
+    # diagonally dominant solve, a few ulp per knot
+    np.testing.assert_allclose(NaturalCubicSpline(x, y).m, reference, rtol=0, atol=1e-13 * np.abs(reference).max())
 
 
 def test_spline_rejects_bad_input():

@@ -16,6 +16,9 @@ REMOVED_TARGETS = {
     ("msgate.modes", "jacobi_eigh"),
     # single-point error budget, replaced by breakdown_curve's grid-shaped path
     ("msgate.design", "error_breakdown"),
+    # golden-section polish of the sensitivity minimum, replaced by
+    # batched parabolic-vertex steps in msgate.design.sensitivity
+    ("msgate.design", "golden_section_min"),
 }
 
 

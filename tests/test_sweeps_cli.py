@@ -234,6 +234,19 @@ def test_cli_mistyped_config_value_exits_2(tmp_path, capsys, ref_config_module):
     assert capsys.readouterr().err == "error: pulse.tau_s must be a finite number, got 'abc'\n"
 
 
+@pytest.mark.parametrize("command", [["design"], ["design", "--delta0-khz", "-40"], ["contour"]])
+def test_cli_zero_trial_rabi_rate_exits_2(tmp_path, capsys, ref_config_module, command):
+    # nothing can be calibrated from a zero trial Rabi rate
+    from msgate.cli import main
+
+    raw = ref_config_module.to_dict()
+    raw["pulse"]["omega0_hz"] = 0
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(raw))
+    assert main([*command, "--config", str(path)]) == 2
+    assert capsys.readouterr().err == "error: pulse.omega0_hz must be positive, got 0.0\n"
+
+
 def test_cli_resonant_design_is_an_error_line(tmp_path, capsys, ref_config_module):
     from msgate.cli import main
 
