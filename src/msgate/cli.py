@@ -26,7 +26,7 @@ def _add_common(parser, workers: bool = False):
     parser.add_argument("--config", required=True, help="path to the JSON system config")
     parser.add_argument("--out", default=None, help="output path (default: stdout)")
     if workers:
-        parser.add_argument("--workers", type=int, default=1, help="parallel grid workers")
+        parser.add_argument("--workers", type=_positive_int, default=1, help="parallel grid workers")
 
 
 def _emit(text: str, out):
@@ -59,6 +59,17 @@ def _int_list(text: str) -> list[int]:
             raise argparse.ArgumentTypeError(f"empty range {part!r}")
         out.extend(span)
     return out
+
+
+def _positive_int(text: str) -> int:
+    """argparse type: an integer of at least 1."""
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"{text!r} is not an integer") from None
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
+    return value
 
 
 def _mode_list(text: str) -> tuple[int, ...]:

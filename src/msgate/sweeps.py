@@ -2,14 +2,23 @@
 
 Every sweep returns a SweepResult whose CSV carries a metadata header
 (config hash, grid spec, package version) sufficient to regenerate it.
-Grid cells are independent, so sweeps optionally fan out to a process
-pool; each task carries the SystemConfig itself and results come back
-in task order either way, making the output byte-identical for any
-worker count.
+
+``sweep_detuning``, ``contour`` and ``chain_study`` share one grid path:
+a design and a frequency-error grid in Hz become the curve's named cells
+(``_curve_cells``), and named cells become rows under a study's column
+tuple (``_table``). A cell holds one value per grid point or one value
+for every row; a column with no cell gets the table's filler. A design
+that fails with one of DOMAIN_ERRORS becomes a failure row whose status
+reads ``Type: message`` (``_status``) in ``contour`` and ``chain_study``;
+``sweep_detuning`` lets it abort the study. Grid cells are independent,
+so those two sweeps optionally fan out to a process pool; each task
+carries the SystemConfig itself and results come back in task order
+either way, making the output byte-identical for any worker count.
 """
 
 from __future__ import annotations
 
+import re
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, replace
 
@@ -53,12 +62,19 @@ class SweepResult:
         return "\n".join(lines) + "\n"
 
 
+# characters that make csv.QUOTE_MINIMAL quote a field
+_NEEDS_QUOTES = re.compile(r'[,"\r\n]')
+
+
 def _format_cell(cell) -> str:
     if isinstance(cell, float):
         return f"{cell:.12g}"
     if isinstance(cell, (bool, np.bool_)):
         return "1" if cell else "0"
-    return str(cell)
+    text = str(cell)
+    if _NEEDS_QUOTES.search(text):
+        return '"' + text.replace('"', '""') + '"'
+    return text
 
 
 def _base_metadata(config: SystemConfig, **extra) -> dict:
@@ -68,29 +84,53 @@ def _base_metadata(config: SystemConfig, **extra) -> dict:
 
 
 def _run_tasks(worker, tasks, workers: int):
-    """Ordered map over tasks, optionally via a process pool."""
+    """Ordered map over tasks, optionally via a pool of at most one process per task."""
     if workers <= 1 or len(tasks) <= 1:
         return [worker(task) for task in tasks]
-    with ProcessPoolExecutor(max_workers=workers) as pool:
+    with ProcessPoolExecutor(max_workers=min(workers, len(tasks))) as pool:
         return list(pool.map(worker, tasks))
+
+
+def _table(columns, cells: dict, n: int, missing) -> list:
+    """n rows under ``columns`` from named cells.
+
+    A cell is an array with one value per row or one value for every row;
+    a column with no cell holds ``missing``.
+    """
+    values = []
+    for name in columns:
+        cell = cells.get(name, missing)
+        values.append(cell.tolist() if isinstance(cell, np.ndarray) else [cell] * n)
+    return [list(row) for row in zip(*values)]
+
+
+def _curve_cells(design: GateDesign, grid_hz, with_fidelity: bool = True) -> dict:
+    """The named cells of ``design``'s error curve over frequency errors in Hz."""
+    curve = breakdown_curve(design, hz_to_angular(grid_hz), with_fidelity=with_fidelity)
+    return {
+        "domega_khz": grid_hz / 1e3,
+        "eps_d": curve.eps_d,
+        "eps_r": curve.eps_r,
+        "eps_s": curve.eps_s,
+        "fidelity": curve.fidelity,
+        "flag": curve.flags,
+    }
+
+
+def _status(exc: Exception) -> str:
+    """The status cell of a design that failed with a domain error."""
+    return f"{type(exc).__name__}: {exc}"
 
 
 # --- detuning sweep (three pulse shapes compared on one chain) ----------
 
-REFERENCE_PULSES = ("balanced_gaussian", "unbalanced_gaussian", "square")
-
-
-def _reference_design(config: SystemConfig, name: str, unbalanced_delta0: float) -> GateDesign:
-    if name == "balanced_gaussian":
-        cfg = replace(config, pulse=replace(config.pulse, type="trunc_gaussian"))
-        return design_gate(cfg)
-    if name == "unbalanced_gaussian":
-        cfg = replace(config, pulse=replace(config.pulse, type="trunc_gaussian"))
-        return design_gate(cfg, delta0_override=unbalanced_delta0)
-    if name == "square":
-        cfg = replace(config, pulse=replace(config.pulse, type="square"))
-        return design_gate(cfg, delta0_override=unbalanced_delta0)
-    raise ValueError(f"unknown reference pulse {name!r}")
+# name -> (pulse type, balanced); an unbalanced pulse keeps the fixed reference detuning
+REFERENCE_PULSES = {
+    "balanced_gaussian": ("trunc_gaussian", True),
+    "unbalanced_gaussian": ("trunc_gaussian", False),
+    "square": ("square", False),
+}
+DETUNING_COLUMNS = ("pulse", "delta0_khz", "domega_khz", "eps_d", "eps_r", "eps_s", "fidelity", "flag")
 
 
 def sweep_detuning(
@@ -105,27 +145,16 @@ def sweep_detuning(
     Each of the REFERENCE_PULSES keeps its nominal design (balanced solve
     for the Gaussian, a fixed reference detuning for the others); moving
     along the grid is equivalent to applying the symmetric frequency
-    error domega = delta0 - delta0_nominal to that design.
+    error domega = delta0 - delta0_nominal to that design. A domain error
+    aborts the sweep.
     """
     delta0_grid = np.linspace(delta0_min_hz, delta0_max_hz, steps)
     rows = []
-    for name in REFERENCE_PULSES:
-        design = _reference_design(config, name, hz_to_angular(unbalanced_delta0_hz))
-        nominal_hz = angular_to_hz(design.delta0)
-        curve = breakdown_curve(design, hz_to_angular(delta0_grid - nominal_hz))
-        for i, d0 in enumerate(delta0_grid):
-            rows.append(
-                [
-                    name,
-                    d0 / 1e3,
-                    (d0 - nominal_hz) / 1e3,
-                    curve.eps_d[i],
-                    curve.eps_r[i],
-                    curve.eps_s[i],
-                    curve.fidelity[i],
-                    curve.flags[i],
-                ]
-            )
+    for name, (pulse_type, balanced) in REFERENCE_PULSES.items():
+        cfg = replace(config, pulse=replace(config.pulse, type=pulse_type))
+        design = design_gate(cfg, delta0_override=None if balanced else hz_to_angular(unbalanced_delta0_hz))
+        cells = _curve_cells(design, delta0_grid - angular_to_hz(design.delta0))
+        rows += _table(DETUNING_COLUMNS, dict(cells, pulse=name, delta0_khz=delta0_grid / 1e3), steps, "")
     meta = _base_metadata(
         config,
         sweep="detuning",
@@ -135,44 +164,31 @@ def sweep_detuning(
         pulses=";".join(REFERENCE_PULSES),
         unbalanced_delta0_hz=unbalanced_delta0_hz,
     )
-    return SweepResult(
-        columns=("pulse", "delta0_khz", "domega_khz", "eps_d", "eps_r", "eps_s", "fidelity", "flag"),
-        rows=rows,
-        metadata=meta,
-    )
+    return SweepResult(columns=DETUNING_COLUMNS, rows=rows, metadata=meta)
 
 
 # --- robustness contour over (z, domega) --------------------------------
 
+CONTOUR_COLUMNS = (
+    "z_us", "domega_khz", "eps_d", "eps_r", "eps_s", "fidelity", "flag", "delta0_khz", "omega0_khz", "status",
+)
+
+
 def _contour_column(task):
     config, z, domega_grid_hz = task
     cfg = replace(config, pulse=replace(config.pulse, type="trunc_gaussian", z_s=z))
-    rows = []
     try:
         design = design_gate(cfg)
     except DOMAIN_ERRORS as exc:
-        for dw in domega_grid_hz:
-            rows.append([z * 1e6, dw / 1e3, np.nan, np.nan, np.nan, np.nan, 1, np.nan, np.nan, type(exc).__name__])
-        return rows
-    curve = breakdown_curve(design, hz_to_angular(np.asarray(domega_grid_hz)))
-    d0_khz = angular_to_hz(design.delta0) / 1e3
-    om_khz = angular_to_hz(design.pulse.omega0) / 1e3
-    for i, dw in enumerate(domega_grid_hz):
-        rows.append(
-            [
-                z * 1e6,
-                dw / 1e3,
-                curve.eps_d[i],
-                curve.eps_r[i],
-                curve.eps_s[i],
-                curve.fidelity[i],
-                curve.flags[i],
-                d0_khz,
-                om_khz,
-                "",
-            ]
+        cells = {"domega_khz": domega_grid_hz / 1e3, "flag": 1, "status": _status(exc)}
+    else:
+        cells = dict(
+            _curve_cells(design, domega_grid_hz),
+            delta0_khz=angular_to_hz(design.delta0) / 1e3,
+            omega0_khz=angular_to_hz(design.pulse.omega0) / 1e3,
+            status="",
         )
-    return rows
+    return _table(CONTOUR_COLUMNS, dict(cells, z_us=z * 1e6), len(domega_grid_hz), np.nan)
 
 
 def contour(
@@ -188,7 +204,8 @@ def contour(
 
     Every width column is freshly balanced and calibrated before the
     frequency-error scan, so the map shows the robustness attainable at
-    that width rather than the miscalibration of a single design.
+    that width rather than the miscalibration of a single design. A
+    column whose design fails holds NaN values under its status.
     """
     z_grid = np.linspace(z_min_s, z_max_s, z_steps)
     dw_grid = np.linspace(-domega_half_range_hz, domega_half_range_hz, domega_steps)
@@ -203,34 +220,22 @@ def contour(
         domega_half_range_hz=domega_half_range_hz,
         domega_steps=domega_steps,
     )
-    return SweepResult(
-        columns=(
-            "z_us",
-            "domega_khz",
-            "eps_d",
-            "eps_r",
-            "eps_s",
-            "fidelity",
-            "flag",
-            "delta0_khz",
-            "omega0_khz",
-            "status",
-        ),
-        rows=rows,
-        metadata=meta,
-    )
+    return SweepResult(columns=CONTOUR_COLUMNS, rows=rows, metadata=meta)
 
 
 # --- chain-length study --------------------------------------------------
 
+SUMMARY_COLUMNS = (
+    "n_ions", "dx0_um", "delta_c_hz", "delta0_khz", "omega0_khz", "dnu10_khz",
+    "eps_s_minus10k", "eps_s_plus10k", "eps_s_max_3khz", "even_flip", "status",
+)
+CURVE_COLUMNS = ("n_ions", "dx0_um", "domega_khz", "eps_d", "eps_r", "eps_s", "flag")
+
+
 def _chain_point(task):
+    """(summary rows, curve rows) of one chain; a domain error leaves one status row."""
     base, n, dx0, domega_grid_hz = task
-    summary = {
-        "n_ions": n,
-        "dx0_um": dx0 * 1e6,
-        "status": "",
-    }
-    curve_rows = []
+    lead = {"n_ions": n, "dx0_um": dx0 * 1e6}
     try:
         cfg = replace(
             base,
@@ -244,12 +249,13 @@ def _chain_point(task):
         i0 = design.coupling.flat_index("radial_b", 0)
         i1 = design.coupling.flat_index("radial_b", 1)
         dnu10 = design.coupling.freqs[i1] - design.coupling.freqs[i0]
-        curve = breakdown_curve(design, hz_to_angular(np.asarray(domega_grid_hz)), with_fidelity=False)
+        curve = _curve_cells(design, domega_grid_hz, with_fidelity=False)
         eps_at = {}
         for target in (-10e3, 10e3):
-            j = int(np.argmin(np.abs(np.asarray(domega_grid_hz) - target)))
-            eps_at[target] = curve.eps_s[j]
-        summary.update(
+            j = int(np.argmin(np.abs(domega_grid_hz - target)))
+            eps_at[target] = curve["eps_s"][j]
+        summary = dict(
+            lead,
             delta_c_hz=angular_to_hz(design.delta_c),
             delta0_khz=angular_to_hz(design.delta0) / 1e3,
             omega0_khz=angular_to_hz(design.pulse.omega0) / 1e3,
@@ -259,28 +265,10 @@ def _chain_point(task):
             eps_s_max_3khz=sensitivity(design),
             even_flip=design.coupling.even_flip,
         )
-        for i, dw in enumerate(domega_grid_hz):
-            curve_rows.append(
-                [n, dx0 * 1e6, dw / 1e3, curve.eps_d[i], curve.eps_r[i], curve.eps_s[i], curve.flags[i]]
-            )
     except DOMAIN_ERRORS as exc:
-        summary["status"] = f"{type(exc).__name__}: {exc}"
-    return summary, curve_rows
-
-
-SUMMARY_COLUMNS = (
-    "n_ions",
-    "dx0_um",
-    "delta_c_hz",
-    "delta0_khz",
-    "omega0_khz",
-    "dnu10_khz",
-    "eps_s_minus10k",
-    "eps_s_plus10k",
-    "eps_s_max_3khz",
-    "even_flip",
-    "status",
-)
+        return _table(SUMMARY_COLUMNS, dict(lead, status=_status(exc)), 1, ""), []
+    curve_rows = _table(CURVE_COLUMNS, dict(curve, **lead), len(domega_grid_hz), "")
+    return _table(SUMMARY_COLUMNS, summary, 1, ""), curve_rows
 
 
 def chain_study(
@@ -303,8 +291,8 @@ def chain_study(
     summary_rows = []
     curve_rows = []
     for summary, curves in _run_tasks(_chain_point, tasks, workers):
-        summary_rows.append([summary.get(col, "") for col in SUMMARY_COLUMNS])
-        curve_rows.extend(curves)
+        summary_rows += summary
+        curve_rows += curves
     meta = _base_metadata(
         config,
         sweep="chain-study",
@@ -315,11 +303,7 @@ def chain_study(
         sens_half_range_hz=SENS_HALF_RANGE_HZ,
     )
     summary = SweepResult(columns=SUMMARY_COLUMNS, rows=summary_rows, metadata=meta)
-    curves = SweepResult(
-        columns=("n_ions", "dx0_um", "domega_khz", "eps_d", "eps_r", "eps_s", "flag"),
-        rows=curve_rows,
-        metadata=dict(meta, table="curves"),
-    )
+    curves = SweepResult(columns=CURVE_COLUMNS, rows=curve_rows, metadata=dict(meta, table="curves"))
     return summary, curves
 
 

@@ -1,3 +1,4 @@
+import csv
 import json
 import os
 import subprocess
@@ -171,6 +172,54 @@ def test_programming_errors_are_not_status_rows(ref_config_module, monkeypatch):
         chain_study(ref_config_module, dx0_list_m=[3.5e-6], n_list=[2], domega_step_hz=5e3)
 
 
+def test_failure_rows_share_one_status_text_and_parse_as_csv(ref_config_module, monkeypatch):
+    import msgate.sweeps
+    from msgate.design import BracketError
+
+    def no_bracket(config, *args, **kwargs):
+        raise BracketError("no bracket: f(a) = 1, f(b) = 2")
+
+    monkeypatch.setattr(msgate.sweeps, "design_gate", no_bracket)
+    grid = contour(ref_config_module, z_steps=2, domega_steps=3)
+    summary, curves = chain_study(ref_config_module, dx0_list_m=[3.5e-6], n_list=[2, 3], domega_step_hz=5e3)
+    status = "BracketError: no bracket: f(a) = 1, f(b) = 2"
+    for result in (grid, summary, curves):
+        lines = [line for line in result.to_csv().splitlines() if not line.startswith("# ")]
+        header, *rows = csv.reader(lines)
+        assert header == list(result.columns)
+        assert all(len(row) == len(header) for row in rows)
+        if result is not curves:
+            assert len(rows) == len(result.rows) > 0
+            assert {row[header.index("status")] for row in rows} == {status}
+    assert curves.rows == []
+
+
+def test_pool_starts_at_most_one_process_per_task(ref_config_module, monkeypatch):
+    import msgate.sweeps
+
+    pool_sizes = []
+
+    class RecordingPool:  # records its size and maps in this process; starts no process
+        def __init__(self, max_workers):
+            pool_sizes.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc_info):
+            return False
+
+        def map(self, fn, tasks):
+            return map(fn, tasks)
+
+    monkeypatch.setattr(msgate.sweeps, "ProcessPoolExecutor", RecordingPool)
+    assert msgate.sweeps._run_tasks(abs, [-1, -2, -3], 8) == [1, 2, 3]
+    assert msgate.sweeps._run_tasks(abs, [-1, -2, -3], 2) == [1, 2, 3]
+    grid = dict(z_min_s=18e-6, z_max_s=32e-6, z_steps=3, domega_steps=2)
+    assert contour(ref_config_module, workers=8, **grid).to_csv() == contour(ref_config_module, **grid).to_csv()
+    assert pool_sizes == [3, 2, 3]
+
+
 def test_parity_rows_and_estimate(ref_config_module):
     result = parity_study(ref_config_module, phi_steps=64)
     assert len(result.rows) == 64
@@ -289,6 +338,7 @@ def test_cli_workers_only_on_pooled_sweeps(capsys, command):
         ["chain-study", "--n", "5-3"],
         ["chain-study", "--n", "2,x"],
         ["chain-study", "--dx0-um", "abc"],
+        ["contour", "--workers", "0"],
         ["oracle", "--modes", "7"],
         ["oracle", "--modes", "0,1,2,3"],
         ["oracle", "--modes", "0,0"],
