@@ -63,14 +63,9 @@ def _fix_column_signs(vectors: np.ndarray) -> np.ndarray:
     O(1e-16) noise, so "nonzero" means above 1e-8 of the column maximum;
     that keeps the sign choice reproducible run to run.
     """
-    v = vectors.copy()
-    for k in range(v.shape[1]):
-        col = v[:, k]
-        cutoff = 1e-8 * np.abs(col).max()
-        idx = np.flatnonzero(np.abs(col) > cutoff)[0]
-        if col[idx] < 0:
-            v[:, k] = -col
-    return v
+    size = np.abs(vectors)
+    first = np.argmax(size > 1e-8 * size.max(axis=0), axis=0)
+    return np.where(vectors[first, np.arange(vectors.shape[1])] < 0, -vectors, vectors)
 
 
 def _check_nondegenerate(freqs: np.ndarray, direction: str) -> None:

@@ -105,7 +105,7 @@ class TruncGaussianPulse(PulseShape):
         # Omega(t) Omega(t - s) = omega0^2 exp(-s^2/4z^2) exp(-u^2/z^2), u = t - (tau + s)/2
         s = np.asarray(s, dtype=float)
         half_width = (self.tau - s) / (2.0 * self.z)
-        erf = np.fromiter(map(math.erf, half_width.ravel()), float, half_width.size).reshape(s.shape)
+        erf = np.fromiter(map(math.erf, half_width.ravel().tolist()), float, half_width.size).reshape(s.shape)
         gauss = np.exp(-(s**2) / (4.0 * self.z**2))
         return self.omega0**2 * self.z * math.sqrt(math.pi) * gauss * erf
 
@@ -114,6 +114,7 @@ class TruncGaussianPulse(PulseShape):
 
 
 _SPLINE_R_DEGREE = 13  # degree of R(s) between knot-aligned lags (6 + 6 + 1)
+_GL7_NODES, _GL7_WEIGHTS = leggauss(7)  # exact for the degree-12 products of two Omega pieces
 
 
 @dataclass(frozen=True)
@@ -171,17 +172,13 @@ class SplineGaussianPulse(PulseShape):
         """
         knots = self._spline.x
         h = knots[1] - knots[0]
-        nodes, weights = leggauss(7)
-        u = (nodes + 1.0) / 2.0
+        u = (_GL7_NODES + 1.0) / 2.0
         cheb = np.cos(np.pi * np.arange(_SPLINE_R_DEGREE + 1) / _SPLINE_R_DEGREE)
         r = (cheb[:, None] + 1.0) / 2.0
-
-        def omega(x):  # Omega on every knot interval at local positions x in [0, 1]
-            return self._profile(knots[:-1, None, None] + h * x[None, :, :])
-
-        late_hi, late_lo = omega(r + (1.0 - r) * u), omega((1.0 - r) * u)
-        early_hi, early_lo = omega(r * u), omega(1.0 - r + r * u)
-        w_late, w_early = (1.0 - r) * weights / 2.0, r * weights / 2.0
+        # Omega on every knot interval at the four sets of local positions in [0, 1]
+        local = np.stack([r + (1.0 - r) * u, (1.0 - r) * u, r * u, 1.0 - r + r * u])
+        late_hi, late_lo, early_hi, early_lo = self._profile(knots[:-1, None, None] + h * local[:, None])
+        w_late, w_early = (1.0 - r) * _GL7_WEIGHTS / 2.0, r * _GL7_WEIGHTS / 2.0
         n = self.pieces
         samples = np.empty((_SPLINE_R_DEGREE + 1, n))
         for m in range(n):
