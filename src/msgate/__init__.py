@@ -22,6 +22,7 @@ from .config import (
 from .design import (
     BracketError,
     GateDesign,
+    SensitivityEdgeError,
     breakdown_curve,
     calibrate_omega0,
     design_gate,
@@ -59,11 +60,12 @@ from .trajectory import ResonanceError, TrajectoryEngine
 __all__ = [
     "BracketError", "ConfigError", "CutoffError", "GateCoupling", "GateDesign", "IonChain",
     "LaserGeometry", "ModeStructure", "OracleReport", "OracleSpec", "PulseShape", "PulseSpec",
-    "ResonanceError", "SplineGaussianPulse", "SquarePulse", "SystemConfig", "TrajectoryEngine",
-    "TruncGaussianPulse", "ZigZagInstabilityError", "angular_to_hz", "axial_freq_for_center_spacing",
-    "axial_modes", "breakdown_curve", "build_chain", "build_coupling", "calibrate_omega0",
-    "design_gate", "displacement_error", "equilibrium_positions", "exact_fidelity", "hz_to_angular",
-    "load_config", "make_pulse", "parity_scan", "phase_and_derivative", "radial_modes",
-    "reduced_density_matrix", "rotation_error", "run_oracle", "sensitivity", "solve_balance",
-    "spin_eigensystem", "spline_gaussian",
+    "ResonanceError", "SensitivityEdgeError", "SplineGaussianPulse", "SquarePulse", "SystemConfig",
+    "TrajectoryEngine", "TruncGaussianPulse", "ZigZagInstabilityError", "angular_to_hz",
+    "axial_freq_for_center_spacing", "axial_modes", "breakdown_curve", "build_chain",
+    "build_coupling", "calibrate_omega0", "design_gate", "displacement_error",
+    "equilibrium_positions", "exact_fidelity", "hz_to_angular", "load_config", "make_pulse",
+    "parity_scan", "phase_and_derivative", "radial_modes", "reduced_density_matrix",
+    "rotation_error", "run_oracle", "sensitivity", "solve_balance", "spin_eigensystem",
+    "spline_gaussian",
 ]

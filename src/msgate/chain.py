@@ -17,7 +17,10 @@ from functools import lru_cache
 import numpy as np
 
 from .config import COULOMB_COEFF, ION_MASS, SystemConfig, hz_to_angular
-from .numerics import ConvergenceError
+
+
+class ConvergenceError(RuntimeError):
+    """An iterative solve failed to reach its tolerance."""
 
 
 def _center_pair(n: int) -> tuple[int, int]:

@@ -8,6 +8,11 @@ first order by the other's. Because a symmetric shift of both laser
 tones enters every sideband detuning exactly like a carrier-detuning
 offset, d theta / d delta_c = 0 is the same statement as first-order
 insensitivity to common motional frequency error.
+
+The balance root is the zero of d theta / d delta_c in a sign-change
+bracket: the initial endpoint pair, or else the scanned cell nearest the
+midpoint of the two modes. Safeguarded Newton on the analytic first and
+second derivatives converges it to a step below 1e-6 Hz.
 """
 
 from __future__ import annotations
@@ -18,11 +23,10 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .chain import IonChain, build_chain
+from .chain import ConvergenceError, IonChain, build_chain
 from .config import QUAD_REL, TWO_PI, SystemConfig, angular_to_hz, hz_to_angular
 from .errors import displacement_error, exact_fidelity, rotation_error, spin_eigensystem
 from .modes import GateCoupling, build_coupling
-from .numerics import brent
 from .pulses import PulseShape, make_pulse
 from .trajectory import RESONANCE_GUARD, check_resonance, gate_integrals, gate_resolution
 
@@ -31,10 +35,16 @@ TARGET_MODES = ("radial_b", 0, 1)  # the balanced pair: the two lowest radial-b 
 SENS_HALF_RANGE_HZ = 3e3  # half width of the window ``sensitivity`` scores
 _SENS_GRID_STEP = TWO_PI * 50.0
 _SENS_REFINE_TOL = TWO_PI * 1.0
+_ROOT_STEP = TWO_PI * 1e-6  # a Newton step below this ends the balance solve
+_NEWTON_MAX_ITER = 100
 
 
 class BracketError(ValueError):
     """No sign change of d theta / d delta_c across the candidate bracket."""
+
+
+class SensitivityEdgeError(ValueError):
+    """The eps_s minimum lies on the edge of the extended sensitivity search."""
 
 
 def _target_freqs(coupling: GateCoupling) -> tuple[float, float]:
@@ -132,31 +142,75 @@ def _margin_floor(pulse: PulseShape, gap: float) -> float:
     return max(1.2 / z if z else 1e-3 * gap, TWO_PI * 400.0)
 
 
+def _slope_and_curvature(coupling: GateCoupling, pulse: PulseShape, delta_c: float, quad_rel: float):
+    """d theta/d delta_c and d2 theta/d delta_c2 at one carrier detuning, in one
+    kernel call; raises ResonanceError within the guard band of a mode."""
+    deltas = delta_c - coupling.freqs
+    check_resonance(deltas)
+    _, _, slopes, curvatures = gate_integrals(pulse, deltas, alpha=False, derivatives=2, quad_rel=quad_rel)
+    return float(coupling.eta_products @ slopes), float(coupling.eta_products @ curvatures)
+
+
+def _newton_root(func, a: float, b: float, fa: float, fb: float, x: float, max_step: float) -> float:
+    """Zero of f in the sign-change bracket [a, b] by safeguarded Newton from x.
+
+    ``func(x)`` returns (f(x), f'(x)); every evaluation narrows the bracket.
+    A Newton step that leaves the bracket, or is longer than half the step
+    before last, is replaced by bisection (rtsafe). Stops when a step is
+    below _ROOT_STEP; after _NEWTON_MAX_ITER evaluations a last step above
+    ``max_step`` raises ConvergenceError.
+    """
+    neg, pos = (a, b) if fa < 0.0 else (b, a)  # f(neg) < 0 < f(pos)
+    last = before = abs(b - a)
+    for _ in range(_NEWTON_MAX_ITER):
+        f, slope = func(x)
+        if f == 0.0:
+            return x
+        if f < 0.0:
+            neg = x
+        else:
+            pos = x
+        target = x - f / slope if slope else math.nan
+        if not (min(neg, pos) <= target <= max(neg, pos) and abs(target - x) <= 0.5 * before):
+            target = 0.5 * (neg + pos)
+        before, last = last, abs(target - x)
+        x = target
+        if last < _ROOT_STEP:
+            return x
+    if last > max_step:
+        raise ConvergenceError(
+            f"balance Newton step still {angular_to_hz(last):.3g} Hz after {_NEWTON_MAX_ITER} evaluations"
+        )
+    return x
+
+
 def solve_balance(
     coupling: GateCoupling, pulse: PulseShape, root_tol: float = TWO_PI * 1.0, quad_rel: float = QUAD_REL
 ) -> float:
     """Carrier detuning between the two target modes where d theta/d delta_c = 0.
 
     The root is independent of the trial Rabi rate (theta scales as
-    omega0^2 uniformly). If the derivative does not change sign at the
-    initial margins (the bracket then holds an even number of roots), it
-    is scanned across the interval the margin floor allows, and Brent
-    polishes the sign change nearest the midpoint of the two modes. Brent
-    starts from the derivatives already known at its bracket ends (the
-    initial endpoints' or the scan's). Every Brent evaluation raises
+    omega0^2 uniformly). It is the zero in the bracket [nu1 + margin,
+    nu2 - margin] when the derivative changes sign across it. Otherwise
+    (the bracket then holds an even number of roots) the derivative is
+    scanned across the interval the margin floor allows, and the bracket
+    is the sign-change cell nearest the midpoint of the two modes.
+    Safeguarded Newton on the analytic (d theta, d2 theta) starts from the
+    bracket's secant point and stops at a step below 1e-6 Hz
+    (``_newton_root``); ``root_tol`` bounds the last step should the
+    iteration cap be reached. Every point evaluation raises
     ResonanceError within the guard band of a mode; the scan does not
     check. A BracketError reports both initial endpoint derivatives.
     """
     nu1, nu2 = _target_freqs(coupling)
     gap = nu2 - nu1
 
-    def dtheta(delta_c: float) -> float:
-        check_resonance(delta_c - coupling.freqs)
-        return float(phase_and_derivative(coupling, pulse, delta_c, quad_rel)[1][0])
+    def derivatives(delta_c: float) -> tuple[float, float]:
+        return _slope_and_curvature(coupling, pulse, delta_c, quad_rel)
 
     margin = _bracket_margin(pulse, gap)
     a, b = nu1 + margin, nu2 - margin
-    fa, fb = dtheta(a), dtheta(b)
+    fa, fb = derivatives(a)[0], derivatives(b)[0]
     if np.sign(fa) == np.sign(fb):
         floor = _margin_floor(pulse, gap)
         # about six samples per 2 pi / tau, the ripple period of the finite window
@@ -175,7 +229,8 @@ def solve_balance(
         centres = 0.5 * (grid[changes] + grid[changes + 1])
         i = changes[np.argmin(np.abs(centres - 0.5 * (nu1 + nu2)))]
         a, b, fa, fb = grid[i], grid[i + 1], values[i], values[i + 1]
-    root = brent(dtheta, a, b, xtol=root_tol, fa=fa, fb=fb)
+    secant = a - fa * (b - a) / (fb - fa)
+    root = _newton_root(derivatives, a, b, fa, fb, secant, root_tol)
     if not (nu1 < root < nu2):
         raise BracketError("balance root escaped the inter-mode interval")
     return float(root)
@@ -326,8 +381,11 @@ def _vertex(x: float, h: float, y) -> float:
 def sensitivity(design: GateDesign) -> float:
     """Worst eps_s within +-SENS_HALF_RANGE_HZ of the error that minimises eps_s.
 
-    The minimum is located on a 50 Hz grid. An interior one is polished
-    by parabolic vertices: the first through the grid triple around the
+    The minimum is located on a 50 Hz grid over +-2 SENS_HALF_RANGE_HZ. An
+    argmin on the grid's edge extends the grid by 2 SENS_HALF_RANGE_HZ on
+    that side, in one batched call; if the argmin is then on the new edge,
+    SensitivityEdgeError is raised. The interior minimum is polished by
+    parabolic vertices: the first through the grid triple around the
     argmin, then two more, each through a +-1 Hz stencil around the last
     vertex evaluated in one batched call. Every vertex is clipped to the
     grid triple's interval. The maximum over the window is then taken on
@@ -339,13 +397,22 @@ def sensitivity(design: GateDesign) -> float:
     grid = np.arange(-search, search + 0.5 * grid_step, grid_step)
     vals = eps_s_curve(design, grid)
     i_min = int(np.argmin(vals))
+    if i_min in (0, grid.size - 1):
+        # one more 2 SENS_HALF_RANGE_HZ of grid on the side of the argmin
+        block = grid[i_min] + np.sign(grid[i_min]) * grid_step * np.arange(1, grid.size // 2 + 1)
+        grid, vals = np.concatenate([grid, block]), np.concatenate([vals, eps_s_curve(design, block)])
+        order = np.argsort(grid)
+        grid, vals = grid[order], vals[order]
+        i_min = int(np.argmin(vals))
+        if i_min in (0, grid.size - 1):
+            edge_khz = angular_to_hz(grid[i_min]) / 1e3
+            raise SensitivityEdgeError(f"eps_s still falls at the {edge_khz:+.3g} kHz edge of the sensitivity search")
     best = grid[i_min]
-    if 0 < i_min < grid.size - 1:
-        lo, hi = grid[i_min - 1], grid[i_min + 1]
-        best = np.clip(_vertex(best, grid_step, vals[i_min - 1 : i_min + 2]), lo, hi)
-        for _ in range(2):
-            stencil = best + _SENS_REFINE_TOL * np.array([-1.0, 0.0, 1.0])
-            best = np.clip(_vertex(best, _SENS_REFINE_TOL, eps_s_curve(design, stencil)), lo, hi)
+    lo, hi = grid[i_min - 1], grid[i_min + 1]
+    best = np.clip(_vertex(best, grid_step, vals[i_min - 1 : i_min + 2]), lo, hi)
+    for _ in range(2):
+        stencil = best + _SENS_REFINE_TOL * np.array([-1.0, 0.0, 1.0])
+        best = np.clip(_vertex(best, _SENS_REFINE_TOL, eps_s_curve(design, stencil)), lo, hi)
     window = np.arange(best - half_range, best + half_range + 0.5 * grid_step, grid_step)
     window[-1] = best + half_range  # include the far endpoint exactly
     return float(eps_s_curve(design, window).max())

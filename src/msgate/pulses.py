@@ -4,7 +4,8 @@ All shapes vanish outside the gate window [0, tau] and are non-negative
 inside it. ``omega0`` is the peak angular Rabi rate in rad/s. Each shape
 also gives its autocorrelation R(s) = integral_s^tau Omega(t) Omega(t-s) dt
 exactly (closed form, or exact piecewise-polynomial quadrature for the
-spline); the entangling phase is the sine transform of R.
+spline); the entangling phase is the sine transform of R. The natural
+cubic spline that the spline envelope squares is defined here too.
 """
 
 from __future__ import annotations
@@ -18,7 +19,50 @@ from numpy.polynomial.chebyshev import chebvander
 from numpy.polynomial.legendre import leggauss
 
 from .config import PulseSpec, hz_to_angular
-from .numerics import NaturalCubicSpline
+
+
+class NaturalCubicSpline:
+    """Natural cubic spline through (x, y) with zero end curvature.
+
+    Evaluation clamps to the end intervals, so querying slightly outside
+    [x[0], x[-1]] extrapolates the boundary cubics; callers that need
+    compact support apply their own window.
+    """
+
+    def __init__(self, x, y):
+        x = np.asarray(x, dtype=float)
+        y = np.asarray(y, dtype=float)
+        if x.ndim != 1 or x.shape != y.shape or x.size < 3:
+            raise ValueError("need matching 1-d arrays with at least 3 knots")
+        if np.any(np.diff(x) <= 0):
+            raise ValueError("knots must be strictly increasing")
+        self.x = x
+        self.y = y
+        self.m = self._second_derivatives(x, y)
+
+    @staticmethod
+    def _second_derivatives(x, y):
+        h = np.diff(x)
+        # tridiagonal system for the interior second derivatives
+        matrix = np.diag(2.0 * (h[:-1] + h[1:])) + np.diag(h[1:-1], 1) + np.diag(h[1:-1], -1)
+        rhs = 6.0 * ((y[2:] - y[1:-1]) / h[1:] - (y[1:-1] - y[:-2]) / h[:-1])
+        m = np.zeros(x.size)
+        m[1:-1] = np.linalg.solve(matrix, rhs)
+        return m
+
+    def __call__(self, t):
+        t = np.asarray(t, dtype=float)
+        idx = np.clip(np.searchsorted(self.x, t, side="right") - 1, 0, self.x.size - 2)
+        x0 = self.x[idx]
+        x1 = self.x[idx + 1]
+        h = x1 - x0
+        a = (x1 - t) / h
+        b = (t - x0) / h
+        return (
+            a * self.y[idx]
+            + b * self.y[idx + 1]
+            + ((a**3 - a) * self.m[idx] + (b**3 - b) * self.m[idx + 1]) * h**2 / 6.0
+        )
 
 
 @dataclass(frozen=True)

@@ -30,6 +30,7 @@ from .design import (
     SENS_HALF_RANGE_HZ,
     BracketError,
     GateDesign,
+    SensitivityEdgeError,
     breakdown_curve,
     design_gate,
     sensitivity,
@@ -39,7 +40,10 @@ from .modes import DegenerateModesError, ZigZagInstabilityError
 from .trajectory import ResonanceError, gate_integrals
 
 # failures that belong to the physics of a grid point; they become status rows
-DOMAIN_ERRORS = (BracketError, ZigZagInstabilityError, DegenerateModesError, ResonanceError, ConfigError)
+DOMAIN_ERRORS = (
+    BracketError, SensitivityEdgeError, ZigZagInstabilityError, DegenerateModesError, ResonanceError,
+    ConfigError,
+)
 
 
 @dataclass(frozen=True)

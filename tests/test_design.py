@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 from msgate import (
     BracketError,
+    SensitivityEdgeError,
     design_gate,
     phase_and_derivative,
     sensitivity,
@@ -15,11 +16,21 @@ from msgate import (
 )
 from msgate.chain import build_chain
 from msgate.config import PulseSpec, SystemConfig, angular_to_hz, default_target_pair, hz_to_angular
-from msgate.design import SENS_HALF_RANGE_HZ, _vertex, breakdown_curve, calibrate_omega0, eps_s_curve
+from msgate.design import (
+    SENS_HALF_RANGE_HZ,
+    _bracket_margin,
+    _newton_root,
+    _slope_and_curvature,
+    _target_freqs,
+    _vertex,
+    breakdown_curve,
+    calibrate_omega0,
+    eps_s_curve,
+)
 from msgate.errors import displacement_error, exact_fidelity, rotation_error, spin_eigensystem
 from msgate.modes import GateCoupling, build_coupling
 from msgate.pulses import TruncGaussianPulse, make_pulse
-from msgate.sweeps import DOMAIN_ERRORS
+from msgate.sweeps import DOMAIN_ERRORS, chain_study
 from msgate.trajectory import ResonanceError, TrajectoryEngine, gate_integrals
 
 from conftest import three_ion_config
@@ -130,14 +141,55 @@ def test_balance_solve_evaluates_each_detuning_once(ref_config, monkeypatch, pul
     root = solve_balance(coupling, pulse)
     evaluated = []
 
-    def counted(coupling, pulse, delta_cs, quad_rel):
-        evaluated.extend(np.atleast_1d(delta_cs).tolist())
-        return phase_and_derivative(coupling, pulse, delta_cs, quad_rel)
+    def counting(func):
+        def counted(coupling, pulse, delta_cs, quad_rel):
+            evaluated.extend(np.atleast_1d(delta_cs).tolist())
+            return func(coupling, pulse, delta_cs, quad_rel)
 
-    monkeypatch.setattr(msgate.design, "phase_and_derivative", counted)
+        return counted
+
+    for name in ("phase_and_derivative", "_slope_and_curvature"):
+        monkeypatch.setattr(msgate.design, name, counting(getattr(msgate.design, name)))
     assert solve_balance(coupling, pulse) == root
-    # the bracket ends (and the scan grid), then one call per Brent iterate
+    # the bracket ends (and the scan grid), then one call per Newton iterate
     assert len(evaluated) == len(set(evaluated)) >= 3
+
+
+@pytest.mark.parametrize("pulse_type", ["trunc_gaussian", "spline_gaussian"])
+def test_newton_from_either_bracket_end_reaches_the_same_root(ref_config, pulse_type):
+    cfg = replace(ref_config, pulse=replace(ref_config.pulse, type=pulse_type))
+    coupling = build_coupling(cfg, build_chain(cfg))
+    pulse = make_pulse(cfg.pulse)
+    nu1, nu2 = _target_freqs(coupling)
+    margin = _bracket_margin(pulse, nu2 - nu1)
+    a, b = nu1 + margin, nu2 - margin
+
+    def derivatives(delta_c):
+        return _slope_and_curvature(coupling, pulse, delta_c, cfg.tol.quad_rel)
+
+    fa, fb = derivatives(a)[0], derivatives(b)[0]
+    assert fa * fb < 0.0
+    from_a, from_b = (_newton_root(derivatives, a, b, fa, fb, start, TWO_PI * 1.0) for start in (a, b))
+    assert abs(from_a - from_b) <= hz_to_angular(1e-6)
+    # the solve itself starts from the secant point and reaches the same root
+    assert abs(solve_balance(coupling, pulse) - from_a) <= hz_to_angular(1e-6)
+
+
+def test_balance_solve_makes_seven_kernel_calls(ref_config, monkeypatch):
+    # the two bracket ends, the secant point and four Newton iterates; Brent,
+    # stopping at 1 Hz, made 10
+    coupling = build_coupling(ref_config, build_chain(ref_config))
+    pulse = make_pulse(ref_config.pulse)
+    kernel = TrajectoryEngine.alpha_and_phase_many
+    calls = []
+
+    def counted_kernel(self, *args, **kwargs):
+        calls.append(1)
+        return kernel(self, *args, **kwargs)
+
+    monkeypatch.setattr(TrajectoryEngine, "alpha_and_phase_many", counted_kernel)
+    solve_balance(coupling, pulse)
+    assert len(calls) == 7
 
 
 @pytest.mark.parametrize("pulse_type", ["trunc_gaussian", "spline_gaussian", "square"])
@@ -442,6 +494,35 @@ def test_sensitivity_makes_four_kernel_calls(ref_design, monkeypatch):
     monkeypatch.setattr(TrajectoryEngine, "alpha_and_phase_many", counted_kernel)
     sensitivity(ref_design)
     assert len(calls) == 4
+
+
+def _chain_config(n_ions, spacing_m):
+    cfg = three_ion_config()
+    return replace(cfg, n_ions=n_ions, center_spacing_m=spacing_m, target_pair=default_target_pair(n_ions))
+
+
+def test_sensitivity_polishes_a_minimum_past_the_search_edge():
+    # 4.5 um N = 16: the search grid's argmin is its +6 kHz edge, and the
+    # minimum lies at +6.35 kHz, in the block the search adds on that side
+    design = design_gate(_chain_config(16, 4.5e-6))
+    grid = hz_to_angular(np.linspace(-2 * SENS_HALF_RANGE_HZ, 2 * SENS_HALF_RANGE_HZ, 241))
+    assert np.argmin(eps_s_curve(design, grid)) == grid.size - 1
+    best = 0.0
+    for step_hz, span in ((50.0, 240), (1.0, 60), (0.01, 60)):
+        points = best + hz_to_angular(step_hz) * np.arange(-span, span + 1)
+        best = points[np.argmin(eps_s_curve(design, points))]
+    assert angular_to_hz(best) == pytest.approx(6.35e3, abs=50.0)
+    window = best + hz_to_angular(np.linspace(-SENS_HALF_RANGE_HZ, SENS_HALF_RANGE_HZ, 121))
+    assert sensitivity(design) == pytest.approx(eps_s_curve(design, window).max(), rel=1e-5, abs=0)
+
+
+def test_minimum_past_the_extended_search_is_a_status_row():
+    # 6 um N = 23: eps_s still falls at +12 kHz, the edge of the extended search
+    with pytest.raises(SensitivityEdgeError, match=r"\+12 kHz edge"):
+        sensitivity(design_gate(_chain_config(23, 6e-6)))
+    summary, curves = chain_study(three_ion_config(), [6e-6], [23], domega_step_hz=2000.0)
+    assert summary.rows[0][-1].startswith("SensitivityEdgeError: ")
+    assert curves.rows == []
 
 
 def test_odd_root_farther_from_second_mode_than_even():

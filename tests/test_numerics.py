@@ -1,23 +1,9 @@
+"""The natural cubic spline that the spline pulse squares (msgate.pulses)."""
+
 import numpy as np
 import pytest
 
-from msgate.numerics import NaturalCubicSpline, brent
-
-
-def test_brent_polynomial_root():
-    f = lambda x: (x - 2.5) * (x + 3.0)
-    root = brent(f, 0.0, 10.0, xtol=1e-12)
-    assert root == pytest.approx(2.5, abs=1e-10)
-
-
-def test_brent_transcendental():
-    root = brent(np.cos, 1.0, 2.0, xtol=1e-13)
-    assert root == pytest.approx(np.pi / 2, abs=1e-12)
-
-
-def test_brent_needs_sign_change():
-    with pytest.raises(ValueError):
-        brent(lambda x: x * x + 1.0, -1.0, 1.0, xtol=1e-10)
+from msgate.pulses import NaturalCubicSpline
 
 
 def test_spline_interpolates_and_is_natural():
@@ -78,19 +64,3 @@ def test_spline_rejects_bad_input():
         NaturalCubicSpline([0.0, 1.0], [1.0, 2.0])
     with pytest.raises(ValueError):
         NaturalCubicSpline([0.0, 1.0, 1.0], [1.0, 2.0, 3.0])
-
-
-def test_brent_takes_known_endpoint_values():
-    calls = []
-
-    def f(x):
-        calls.append(x)
-        return np.cos(x) - 0.3 * x
-
-    plain = brent(f, 0.0, 2.0, xtol=1e-12)
-    evaluated = len(calls)
-    calls.clear()
-    given = brent(f, 0.0, 2.0, xtol=1e-12, fa=f(0.0), fb=f(2.0))
-    assert given == plain  # same iterates, bit for bit
-    assert len(calls) == evaluated  # the two ends were not evaluated again
-    assert calls.count(0.0) == calls.count(2.0) == 1

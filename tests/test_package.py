@@ -19,6 +19,9 @@ REMOVED_TARGETS = {
     # golden-section polish of the sensitivity minimum, replaced by
     # batched parabolic-vertex steps in msgate.design.sensitivity
     ("msgate.design", "golden_section_min"),
+    # Brent root finder of the balance solve, replaced by safeguarded Newton
+    # on the analytic (d theta, d2 theta) in msgate.design.solve_balance
+    ("msgate.design", "brent"),
 }
 
 
