@@ -5,14 +5,19 @@ inside it. ``omega0`` is the peak angular Rabi rate in rad/s. Each shape
 also gives its autocorrelation R(s) = integral_s^tau Omega(t) Omega(t-s) dt
 exactly (closed form, or exact piecewise-polynomial quadrature for the
 spline); the entangling phase is the sine transform of R. The natural
-cubic spline that the spline envelope squares is defined here too.
+cubic spline S that the spline envelope squares is defined here too. It
+is fitted once per shape (tau, z, n_knots) at unit peak rate, and
+Omega = omega0 S^2 at any rate. ``PulseShape.node_samples`` gives Omega
+and R on the trajectory engine's quadrature nodes: node by node for the
+closed forms, and for the spline from one pattern of node positions that
+every knot piece shares.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, lru_cache
 
 import numpy as np
 from numpy.polynomial.chebyshev import chebvander
@@ -56,8 +61,15 @@ class NaturalCubicSpline:
         x0 = self.x[idx]
         x1 = self.x[idx + 1]
         h = x1 - x0
-        a = (x1 - t) / h
-        b = (t - x0) / h
+        return self._cubic((x1 - t) / h, (t - x0) / h, idx, h)
+
+    def on_intervals(self, u):
+        """S at x_j + u (x_j+1 - x_j) on every interval j, shape u.shape + (intervals,)."""
+        u = np.asarray(u, dtype=float)[..., None]
+        return self._cubic(1.0 - u, u, np.arange(self.x.size - 1), np.diff(self.x))
+
+    def _cubic(self, a, b, idx, h):
+        """The cubic of interval ``idx`` at local weights a = 1 - b, b = (t - x0) / h."""
         return (
             a * self.y[idx]
             + b * self.y[idx + 1]
@@ -91,6 +103,11 @@ class PulseShape:
         analytic function; quadrature panels are aligned to them."""
         return 1
 
+    def node_samples(self, t: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Omega and R at the quadrature nodes t of uniform panels, shape
+        (order, panels), the panel count a multiple of ``pieces``."""
+        return self.amplitude(t), self.autocorrelation(t)
+
     def amplitude(self, t):
         """Omega(t) in rad/s; zero outside [0, tau]."""
         t = np.asarray(t, dtype=float)
@@ -108,8 +125,7 @@ class PulseShape:
 
     @cached_property
     def unit_rate(self) -> "PulseShape":
-        """``with_omega0(1.0)``, built once per pulse (a spline pulse refits
-        its spline on every construction)."""
+        """``with_omega0(1.0)``, built once per pulse."""
         return self.with_omega0(1.0)
 
 
@@ -161,6 +177,14 @@ _SPLINE_R_DEGREE = 13  # degree of R(s) between knot-aligned lags (6 + 6 + 1)
 _GL7_NODES, _GL7_WEIGHTS = leggauss(7)  # exact for the degree-12 products of two Omega pieces
 
 
+@lru_cache(maxsize=64)
+def _unit_spline(tau: float, z: float, n_knots: int) -> NaturalCubicSpline:
+    """The spline S through sqrt-Gaussian knots at unit peak rate (width
+    z sqrt 2 in amplitude), fitted once per shape."""
+    knot_t = np.linspace(0.0, tau, n_knots)
+    return NaturalCubicSpline(knot_t, np.exp(-((knot_t - tau / 2.0) ** 2) / (4.0 * z**2)))
+
+
 @dataclass(frozen=True)
 class SplineGaussianPulse(PulseShape):
     """Squared natural cubic spline through square-root-of-Gaussian knots.
@@ -169,7 +193,9 @@ class SplineGaussianPulse(PulseShape):
     sqrt-Gaussian amplitude samples; the two-photon Rabi rate is the
     square of that spline, so it matches the truncated Gaussian exactly
     at every knot and is non-negative by construction. Knot times are
-    equally spaced across [0, tau] with non-zero endpoint values.
+    equally spaced across [0, tau] with non-zero endpoint values. The
+    spline S is fitted at unit peak rate, once per (tau, z, n_knots), and
+    Omega = omega0 S^2, so ``with_omega0`` and ``unit_rate`` refit nothing.
     """
 
     z: float = 25e-6  # s, width of the squared (two-photon) Gaussian
@@ -183,23 +209,35 @@ class SplineGaussianPulse(PulseShape):
             raise ValueError("z must be positive")
         if self.n_knots < 4:
             raise ValueError("need at least 4 knots")
-        knot_t = np.linspace(0.0, self.tau, self.n_knots)
-        # sqrt of the target Gaussian: width z*sqrt(2) in amplitude
-        knot_y = np.sqrt(self.omega0) * np.exp(
-            -((knot_t - self.tau / 2.0) ** 2) / (4.0 * self.z**2)
-        )
-        object.__setattr__(self, "_spline", NaturalCubicSpline(knot_t, knot_y))
+        object.__setattr__(self, "_spline", _unit_spline(self.tau, self.z, self.n_knots))
 
     @property
     def knot_times(self) -> np.ndarray:
         return self._spline.x
 
     def _profile(self, t):
-        return self._spline(t) ** 2
+        return self.omega0 * self._spline(t) ** 2
 
     @property
     def pieces(self) -> int:
         return self.n_knots - 1
+
+    def node_samples(self, t):
+        """Omega and R at the table nodes from one node pattern per knot piece.
+
+        The panels are aligned to the pieces, so every piece holds the same
+        q = panels / pieces panels and the same local node positions, those
+        of the first piece. Omega is each piece's cubic at that pattern,
+        squared; R is one Chebyshev basis of the pattern times
+        ``_lag_coefficients`` (its lag interval is the node's piece).
+        """
+        order, panels = t.shape
+        q = panels // self.pieces
+        local = t[:, :q] / (self._spline.x[1] - self._spline.x[0])  # (order, q) in [0, 1)
+        omega = self.omega0 * self._spline.on_intervals(local) ** 2
+        lag = chebvander(2.0 * local - 1.0, _SPLINE_R_DEGREE) @ self._lag_coefficients
+        # (order, q, pieces) -> (order, panels): panel p = piece * q + local panel
+        return tuple(np.swapaxes(x, 1, 2).reshape(order, panels) for x in (omega, lag))
 
     @cached_property
     def _lag_coefficients(self) -> np.ndarray:

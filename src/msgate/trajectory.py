@@ -19,9 +19,12 @@ detuning derivatives are transforms of the same table,
 
 A ``TrajectoryEngine`` tabulates the quadrature weights of Omega and R
 once per pulse shape, on composite Gauss-Legendre nodes t_n (uniform
-panels, aligned to the pieces of a piecewise-polynomial envelope). Every
-evaluation is then a sum W_n exp(i delta t_n). Studies evaluate product
-grids delta[j, k] = (delta_c - nu_k) + domega_j; because the exponential
+panels, aligned to the pieces of a piecewise-polynomial envelope). The
+shape gives Omega and R at the nodes (``PulseShape.node_samples``): node
+by node for the closed forms, and for the spline from one node pattern
+that every knot piece shares. Every evaluation is then a sum
+W_n exp(i delta t_n). Studies evaluate product grids
+delta[j, k] = (delta_c - nu_k) + domega_j; because the exponential
 factors as exp(i (delta_c - nu_k) t) exp(i domega_j t), a whole
 (grid x modes) batch is one matrix product over the panels. Within each
 panel the exponentials factor again into a panel-start and a node-offset
@@ -172,8 +175,9 @@ class TrajectoryEngine:
         offsets = h * (_GL_NODES + 1.0) / 2.0
         t = starts[None, :] + offsets[:, None]  # (order, panels)
         w = (h / 2.0) * _GL_WEIGHTS[:, None]
-        lag = w * self.pulse.autocorrelation(t)
-        weights = np.concatenate([w * self.pulse.amplitude(t), lag, t * lag, t * t * lag], axis=1)
+        omega, lag = self.pulse.node_samples(t)
+        lag = w * lag
+        weights = np.concatenate([w * omega, lag, t * lag, t * t * lag], axis=1)
         table = (starts, offsets, weights)
         self._tables[panels] = table
         return table

@@ -171,3 +171,36 @@ def test_kernel_calls_fit_a_spline_pulse_once(monkeypatch):
     assert len(fits) <= 1  # the unit-rate pulse the engine is looked up by
     for a, b in zip(first, again):
         np.testing.assert_array_equal(a, b)
+
+
+def test_design_fits_one_spline_per_shape(monkeypatch):
+    import msgate.pulses
+    from msgate import design_gate
+
+    from conftest import three_ion_config
+
+    fits = []
+
+    class CountedSpline(msgate.pulses.NaturalCubicSpline):
+        def __init__(self, x, y):
+            fits.append(1)
+            super().__init__(x, y)
+
+    monkeypatch.setattr(msgate.pulses, "NaturalCubicSpline", CountedSpline)
+    msgate.pulses._unit_spline.cache_clear()  # the shape below is new to this process
+    config = three_ion_config("spline_gaussian", z_s=24.3e-6)
+    balanced = design_gate(config)
+    fixed = design_gate(config, delta0_override=2 * np.pi * -40e3)
+    # trial pulse, its unit rate, the calibrated pulse and its unit rate share one fit
+    assert len(fits) == 1
+    assert balanced.pulse.omega0 != fixed.pulse.omega0
+
+
+def test_spline_rate_scales_the_unit_spline():
+    ts = np.linspace(0.0, TAU, 257)
+    for w in (1.0, 3.7e5, 2 * np.pi * 1e5):
+        silent = spline_gaussian(0.0, TAU, 21e-6, 9)
+        assert np.all(silent.amplitude(ts) == 0.0)
+        want = spline_gaussian(w, TAU, 21e-6, 9).amplitude(ts)
+        np.testing.assert_allclose(silent.with_omega0(w).amplitude(ts), want, rtol=1e-15, atol=0)
+        np.testing.assert_allclose(want, w * spline_gaussian(1.0, TAU, 21e-6, 9).amplitude(ts), rtol=1e-15)

@@ -21,6 +21,7 @@ from msgate.pulses import SquarePulse, TruncGaussianPulse, spline_gaussian
 from msgate.trajectory import (
     _GL_NODES,
     _GL_WEIGHTS,
+    GL_ORDER,
     MAX_PANELS,
     _panel_phasors,
     check_resonance,
@@ -358,6 +359,36 @@ def test_autocorrelation_against_dense_quadrature():
         scale = _dense_autocorrelation(pulse, 0.0)
         np.testing.assert_allclose(got, want, rtol=0, atol=1e-12 * scale)
         assert pulse.autocorrelation(TAU) == pytest.approx(0.0, abs=1e-13 * scale)
+
+
+def _node_by_node_table(pulse, starts, offsets):
+    """The four weight rows from ``amplitude`` and ``autocorrelation`` at each
+    node of the table, shape (order, 4, panels)."""
+    t = starts[None, :] + offsets[:, None]
+    w = (pulse.tau / starts.size / 2.0) * _GL_WEIGHTS[:, None]
+    lag = w * pulse.autocorrelation(t)
+    return np.stack([w * pulse.amplitude(t), lag, t * lag, t * t * lag], axis=1)
+
+
+@pytest.mark.parametrize("n_knots", [6, 9, 13])
+@pytest.mark.parametrize("z", [12e-6, 25e-6, 40e-6])
+def test_spline_tables_match_node_by_node(n_knots, z):
+    pulse = spline_gaussian(1.0, TAU, z, n_knots)
+    for panels in (64, 100, 256, MAX_PANELS):  # 100 is not a multiple of the pieces
+        starts, offsets, weights = TrajectoryEngine(pulse)._table(panels)
+        assert starts.size % pulse.pieces == 0
+        want = _node_by_node_table(pulse, starts, offsets)
+        got = weights.reshape(GL_ORDER, 4, -1)
+        bound = 4 * np.finfo(float).eps * np.abs(want).sum(axis=(0, 2))
+        assert np.all(np.abs(got - want).max(axis=(0, 2)) <= bound), (panels, np.abs(got - want).max(axis=(0, 2)))
+
+
+@pytest.mark.parametrize("pulse", [SquarePulse(omega0=1.0, tau=TAU), TruncGaussianPulse(omega0=1.0, tau=TAU, z=25e-6),
+                                   TruncGaussianPulse(omega0=1.0, tau=TAU, z=7e-6)])
+def test_closed_form_tables_are_node_by_node(pulse):
+    for panels in (64, 100, 256, MAX_PANELS):
+        starts, offsets, weights = TrajectoryEngine(pulse)._table(panels)
+        np.testing.assert_array_equal(weights.reshape(GL_ORDER, 4, -1), _node_by_node_table(pulse, starts, offsets))
 
 
 SHAPES = {
