@@ -22,6 +22,7 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
+from numpy.polynomial import chebyshev
 
 from .chain import ConvergenceError, IonChain, build_chain
 from .config import QUAD_REL, TWO_PI, SystemConfig, angular_to_hz, hz_to_angular
@@ -34,8 +35,8 @@ THETA_TARGET = math.pi / 2.0
 TARGET_MODES = ("radial_b", 0, 1)  # the balanced pair: the two lowest radial-b modes
 SENS_HALF_RANGE_HZ = 3e3  # half width of the window ``sensitivity`` scores
 _SENS_GRID_STEP = TWO_PI * 50.0
-_SENS_REFINE_TOL = TWO_PI * 1.0
-_ROOT_STEP = TWO_PI * 1e-6  # a Newton step below this ends the balance solve
+_CHEB_TAIL = 1e-17  # Chebyshev tail bound of the sensitivity interpolant
+_ROOT_STEP = TWO_PI * 1e-6  # a balance Newton step or sensitivity bracket below this ends the search
 _NEWTON_MAX_ITER = 100
 
 
@@ -361,58 +362,56 @@ def breakdown_curve(design: GateDesign, domegas, with_fidelity: bool = True) -> 
     return BreakdownCurve(domegas=domegas, eps_d=eps_d, eps_r=eps_r, fidelity=fid, flags=flags)
 
 
-def eps_s_curve(design: GateDesign, domegas) -> np.ndarray:
-    """eps_s over an array of frequency errors, batched over modes x grid."""
-    return breakdown_curve(design, domegas, with_fidelity=False).eps_s
+def _eps_s_interpolant(design: GateDesign, reach: float):
+    """eps_s(s) for |s| <= ``reach``, interpolated from one kernel call.
 
-
-def _vertex(x: float, h: float, y) -> float:
-    """Vertex of the parabola through (x - h, y[0]), (x, y[1]), (x + h, y[2]).
-
-    A flat or concave triple has no interior minimum to step to; it
-    returns ``x``, so the step can never yield NaN.
+    alpha_k(s) and B_k(s) are sums of exp(i s t), |t| <= tau, so m first-kind
+    Chebyshev points leave a tail below (reach tau/2)^m / m! (|J_m(x)| <= (x/2)^m / m!).
     """
-    curvature = y[0] - 2.0 * y[1] + y[2]
-    if not curvature > 0.0:
-        return x
-    return x + 0.5 * h * (y[0] - y[2]) / curvature
+    m, tail = 0, 1.0
+    while tail > _CHEB_TAIL:
+        m += 1
+        tail *= 0.5 * reach * design.pulse.tau / m
+    nodes = chebyshev.chebpts1(m)
+    base = design.delta_c - design.coupling.freqs
+    integrals = gate_integrals(design.pulse, base, shifts=reach * nodes, quad_rel=design.quad_rel)
+    weights = np.where(np.arange(m) == 0, 1.0 / m, 2.0 / m)  # discrete orthogonality at the nodes
+    alpha_coef, phase_coef = ((chebyshev.chebvander(nodes, m - 1) * weights).T @ v for v in integrals)
+
+    def eps_s(shifts) -> np.ndarray:
+        vander = chebyshev.chebvander(shifts / reach, m - 1)
+        eps_d, eps_r, _ = _error_budget(design.coupling, vander @ alpha_coef, vander @ phase_coef, False)
+        return eps_d + eps_r
+
+    return eps_s
 
 
 def sensitivity(design: GateDesign) -> float:
     """Worst eps_s within +-SENS_HALF_RANGE_HZ of the error that minimises eps_s.
 
-    The minimum is located on a 50 Hz grid over +-2 SENS_HALF_RANGE_HZ. An
-    argmin on the grid's edge extends the grid by 2 SENS_HALF_RANGE_HZ on
-    that side, in one batched call; if the argmin is then on the new edge,
-    SensitivityEdgeError is raised. The interior minimum is polished by
-    parabolic vertices: the first through the grid triple around the
-    argmin, then two more, each through a +-1 Hz stencil around the last
-    vertex evaluated in one batched call. Every vertex is clipped to the
-    grid triple's interval. The maximum over the window is then taken on
-    a 50 Hz grid (window endpoints included), where the window's steep
-    edges make it follow the minimiser to first order.
+    Every eps_s comes from one interpolant over +-5 SENS_HALF_RANGE_HZ. The
+    minimum is located on a 50 Hz grid over +-2 SENS_HALF_RANGE_HZ, extended by
+    2 SENS_HALF_RANGE_HZ on an edge argmin's side; an argmin then on either edge
+    raises SensitivityEdgeError. 33-point grids narrow the grid triple around
+    the argmin to a bracket below 1e-6 Hz. The window maximum is taken on a
+    50 Hz grid with both endpoints, so it follows the minimiser to first order.
     """
-    half_range, grid_step = hz_to_angular(SENS_HALF_RANGE_HZ), _SENS_GRID_STEP
-    search = 2.0 * half_range
-    grid = np.arange(-search, search + 0.5 * grid_step, grid_step)
-    vals = eps_s_curve(design, grid)
-    i_min = int(np.argmin(vals))
-    if i_min in (0, grid.size - 1):
-        # one more 2 SENS_HALF_RANGE_HZ of grid on the side of the argmin
-        block = grid[i_min] + np.sign(grid[i_min]) * grid_step * np.arange(1, grid.size // 2 + 1)
-        grid, vals = np.concatenate([grid, block]), np.concatenate([vals, eps_s_curve(design, block)])
-        order = np.argsort(grid)
-        grid, vals = grid[order], vals[order]
-        i_min = int(np.argmin(vals))
-        if i_min in (0, grid.size - 1):
-            edge_khz = angular_to_hz(grid[i_min]) / 1e3
+    half_range, step = hz_to_angular(SENS_HALF_RANGE_HZ), _SENS_GRID_STEP
+    eps_s = _eps_s_interpolant(design, 5.0 * half_range)
+    n = round(2.0 * half_range / step)
+    ks = np.arange(-n, n + 1)
+    i_min = int(np.argmin(eps_s(step * ks)))
+    if i_min in (0, ks.size - 1):
+        ks = np.sign(ks[i_min]) * np.arange(-n, 2 * n + 1)  # 2 SENS_HALF_RANGE_HZ more on the argmin's side
+        i_min = int(np.argmin(eps_s(step * ks)))
+        if i_min in (0, ks.size - 1):
+            edge_khz = angular_to_hz(step * ks[i_min]) / 1e3
             raise SensitivityEdgeError(f"eps_s still falls at the {edge_khz:+.3g} kHz edge of the sensitivity search")
-    best = grid[i_min]
-    lo, hi = grid[i_min - 1], grid[i_min + 1]
-    best = np.clip(_vertex(best, grid_step, vals[i_min - 1 : i_min + 2]), lo, hi)
-    for _ in range(2):
-        stencil = best + _SENS_REFINE_TOL * np.array([-1.0, 0.0, 1.0])
-        best = np.clip(_vertex(best, _SENS_REFINE_TOL, eps_s_curve(design, stencil)), lo, hi)
-    window = np.arange(best - half_range, best + half_range + 0.5 * grid_step, grid_step)
+    best, half = step * ks[i_min], step
+    while 2.0 * half > _ROOT_STEP:
+        points = best + np.linspace(-half, half, 33)
+        best = points[np.argmin(eps_s(points))]
+        half /= 16.0  # the spacing of the 33 points: next, the triple around their argmin
+    window = np.arange(best - half_range, best + half_range + 0.5 * step, step)
     window[-1] = best + half_range  # include the far endpoint exactly
-    return float(eps_s_curve(design, window).max())
+    return float(eps_s(window).max())

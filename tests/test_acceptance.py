@@ -20,7 +20,7 @@ from msgate import (
 )
 from msgate.chain import build_chain
 from msgate.config import default_target_pair
-from msgate.design import breakdown_curve, calibrate_omega0, eps_s_curve, solve_balance
+from msgate.design import breakdown_curve, calibrate_omega0, solve_balance
 from msgate.errors import (
     exact_fidelity,
     parity_scan,
@@ -78,7 +78,7 @@ def test_acceptance_3_robust_window(ref_config, ref_design):
     t0 = time.time()
     # frequency-error window at z = 25 us
     dw_grid = np.arange(-9.5e3, 9.5e3 + 1, 50.0)
-    eps = eps_s_curve(ref_design, hz_to_angular(dw_grid))
+    eps = breakdown_curve(ref_design, hz_to_angular(dw_grid), with_fidelity=False).eps_s
     i_min = int(np.argmin(eps))
     lo = crossing(dw_grid, eps, 1e-3, i_min, -1) / 1e3
     hi = crossing(dw_grid, eps, 1e-3, i_min, +1) / 1e3
@@ -124,9 +124,9 @@ def test_acceptance_4_pulse_shape_ordering(ref_config, ref_design):
 
     dw = np.concatenate([np.arange(-10e3, -1999.0, 500.0), np.arange(2000.0, 10001.0, 500.0)])
     grid = hz_to_angular(dw)
-    eps_bal = eps_s_curve(ref_design, grid)
-    eps_unb = eps_s_curve(unbalanced, grid)
-    eps_sq = eps_s_curve(square, grid)
+    eps_bal = breakdown_curve(ref_design, grid, with_fidelity=False).eps_s
+    eps_unb = breakdown_curve(unbalanced, grid, with_fidelity=False).eps_s
+    eps_sq = breakdown_curve(square, grid, with_fidelity=False).eps_s
 
     bad_bu = dw[~(eps_bal < eps_unb)] / 1e3
     bad_us = dw[~(eps_unb < eps_sq)] / 1e3
@@ -157,7 +157,7 @@ def test_acceptance_5_large_chain_robustness(ref_config):
             pulse=ref_config.pulse,
         )
         design = design_gate(cfg)
-        eps = eps_s_curve(design, hz_to_angular(np.array([-10e3, 10e3])))
+        eps = breakdown_curve(design, hz_to_angular(np.array([-10e3, 10e3])), with_fidelity=False).eps_s
         if eps.max() > worst[0]:
             worst = (eps.max(), n)
         if eps.max() > 1e-2:

@@ -19,13 +19,12 @@ from msgate.config import PulseSpec, SystemConfig, angular_to_hz, default_target
 from msgate.design import (
     SENS_HALF_RANGE_HZ,
     _bracket_margin,
+    _eps_s_interpolant,
     _newton_root,
     _slope_and_curvature,
     _target_freqs,
-    _vertex,
     breakdown_curve,
     calibrate_omega0,
-    eps_s_curve,
 )
 from msgate.errors import displacement_error, exact_fidelity, rotation_error, spin_eigensystem
 from msgate.modes import GateCoupling, build_coupling
@@ -425,8 +424,8 @@ def test_breakdown_curve_matches_per_point_loop(ref_config, ref_design, n_ions):
 def test_balanced_beats_unbalanced(ref_config, ref_design):
     unbalanced = design_gate(ref_config, delta0_override=hz_to_angular(-40e3))
     grid = hz_to_angular(np.concatenate([np.arange(-10e3, -1999.0, 500.0), np.arange(2e3, 10001.0, 500.0)]))
-    eps_bal = eps_s_curve(ref_design, grid)
-    eps_unb = eps_s_curve(unbalanced, grid)
+    eps_bal = breakdown_curve(ref_design, grid, with_fidelity=False).eps_s
+    eps_unb = breakdown_curve(unbalanced, grid, with_fidelity=False).eps_s
     assert np.all(eps_bal < eps_unb)
 
 
@@ -439,7 +438,7 @@ def test_breakdown_curve_flags(ref_design):
 
 def test_sensitivity_monotone_and_consistent(ref_design):
     smax = sensitivity(ref_design)
-    at_zero = eps_s_curve(ref_design, [0.0])[0]
+    at_zero = breakdown_curve(ref_design, [0.0], with_fidelity=False).eps_s[0]
     assert smax >= at_zero
     # sensitivity degrades as chains lengthen (splitting shrinks)
     values = []
@@ -455,15 +454,6 @@ def test_sensitivity_monotone_and_consistent(ref_design):
     assert values[0] < values[1] < values[2]
 
 
-def test_vertex_exact_on_parabola_and_middle_point_otherwise():
-    f = lambda w: 3.0 * (w - 0.37) ** 2 + 1.0
-    assert _vertex(0.0, 1.0, [f(-1.0), f(0.0), f(1.0)]) == pytest.approx(0.37, abs=1e-15)
-    assert _vertex(2.0, 0.5, [f(1.5), f(2.0), f(2.5)]) == pytest.approx(0.37, abs=1e-14)
-    # flat, linear and concave triples have no vertex to step to
-    for y in ([1.0, 1.0, 1.0], [1.0, 2.0, 3.0], [0.0, 1.0, 0.5]):
-        assert _vertex(2.0, 0.5, y) == 2.0
-
-
 @pytest.mark.parametrize("n_ions", [23, 33])
 def test_sensitivity_matches_a_finely_refined_minimiser(n_ions):
     # the window maximum follows the minimiser to first order, because it
@@ -475,15 +465,26 @@ def test_sensitivity_matches_a_finely_refined_minimiser(n_ions):
     best = 0.0
     for step_hz, span in ((50.0, 120), (1.0, 60), (0.01, 60)):
         points = best + hz_to_angular(step_hz) * np.arange(-span, span + 1)
-        best = points[np.argmin(eps_s_curve(design, points))]
+        best = points[np.argmin(breakdown_curve(design, points, with_fidelity=False).eps_s)]
     window = best + hz_to_angular(np.linspace(-SENS_HALF_RANGE_HZ, SENS_HALF_RANGE_HZ, 121))
-    assert sensitivity(design) == pytest.approx(eps_s_curve(design, window).max(), rel=1e-5, abs=0)
+    assert sensitivity(design) == pytest.approx(
+        breakdown_curve(design, window, with_fidelity=False).eps_s.max(), rel=1e-5, abs=0
+    )
 
 
-def test_sensitivity_makes_four_kernel_calls(ref_design, monkeypatch):
-    # an interior minimum: the search grid, two +-1 Hz stencils, the window
+def _chain_config(n_ions, spacing_m):
+    cfg = three_ion_config()
+    return replace(cfg, n_ions=n_ions, center_spacing_m=spacing_m, target_pair=default_target_pair(n_ions))
+
+
+@pytest.mark.parametrize("edge", [False, True])
+def test_sensitivity_makes_one_kernel_call(ref_design, edge, monkeypatch):
+    # the reference design's minimum is inside the search grid; 4.5 um N = 16
+    # has its argmin on the grid's +6 kHz edge, so the search is extended
+    design = design_gate(_chain_config(16, 4.5e-6)) if edge else ref_design
     grid = hz_to_angular(np.linspace(-2 * SENS_HALF_RANGE_HZ, 2 * SENS_HALF_RANGE_HZ, 241))
-    assert 0 < np.argmin(eps_s_curve(ref_design, grid)) < grid.size - 1
+    i_min = np.argmin(breakdown_curve(design, grid, with_fidelity=False).eps_s)
+    assert i_min == grid.size - 1 if edge else 0 < i_min < grid.size - 1
     kernel = TrajectoryEngine.alpha_and_phase_many
     calls = []
 
@@ -492,13 +493,50 @@ def test_sensitivity_makes_four_kernel_calls(ref_design, monkeypatch):
         return kernel(self, *args, **kwargs)
 
     monkeypatch.setattr(TrajectoryEngine, "alpha_and_phase_many", counted_kernel)
-    sensitivity(ref_design)
-    assert len(calls) == 4
+    sensitivity(design)
+    assert len(calls) == 1
 
 
-def _chain_config(n_ions, spacing_m):
-    cfg = three_ion_config()
-    return replace(cfg, n_ions=n_ions, center_spacing_m=spacing_m, target_pair=default_target_pair(n_ions))
+def test_sensitivity_interpolant_matches_the_kernel():
+    # random chains and frequency errors across the interpolant's whole reach;
+    # atol covers eps_s at the integrals' rounding floor, where the direct
+    # kernel moves by 3e-8 relative (3.5e-21 absolute at eps_s = 3.7e-14)
+    # between one shift and a batch of 40
+    rng = np.random.default_rng(18)
+    reach = 5.0 * hz_to_angular(SENS_HALF_RANGE_HZ)
+    checked = 0
+    for _ in range(12):
+        cfg = _chain_config(int(rng.integers(2, 34)), rng.uniform(3e-6, 6e-6))
+        cfg = replace(cfg, pulse=replace(cfg.pulse, z_s=rng.uniform(12e-6, 45e-6)))
+        try:
+            design = design_gate(cfg)
+        except DOMAIN_ERRORS:
+            continue
+        shifts = rng.uniform(-reach, reach, 40)
+        np.testing.assert_allclose(
+            _eps_s_interpolant(design, reach)(shifts),
+            breakdown_curve(design, shifts, with_fidelity=False).eps_s,
+            rtol=1e-9,
+            atol=1e-18,
+        )
+        checked += 1
+    assert checked >= 6
+
+
+@pytest.mark.parametrize("n_ions, spacing_m", [(4, 4.5e-6), (23, 3e-6)])
+def test_sensitivity_matches_a_minimiser_refined_to_0_1_mhz(n_ions, spacing_m):
+    # the minimiser refined with direct kernel calls down to 1e-4 Hz steps;
+    # quad_rel = 1e-10 fixes it only to about 1 mHz, which the window
+    # maximum follows to about 1e-6 relative
+    design = design_gate(_chain_config(n_ions, spacing_m))
+    best = 0.0
+    for step_hz, span in ((50.0, 120), (1.0, 60), (0.01, 60), (1e-4, 60)):
+        points = best + hz_to_angular(step_hz) * np.arange(-span, span + 1)
+        best = points[np.argmin(breakdown_curve(design, points, with_fidelity=False).eps_s)]
+    window = best + hz_to_angular(np.linspace(-SENS_HALF_RANGE_HZ, SENS_HALF_RANGE_HZ, 121))
+    assert sensitivity(design) == pytest.approx(
+        breakdown_curve(design, window, with_fidelity=False).eps_s.max(), rel=2e-6, abs=0
+    )
 
 
 def test_sensitivity_polishes_a_minimum_past_the_search_edge():
@@ -506,14 +544,16 @@ def test_sensitivity_polishes_a_minimum_past_the_search_edge():
     # minimum lies at +6.35 kHz, in the block the search adds on that side
     design = design_gate(_chain_config(16, 4.5e-6))
     grid = hz_to_angular(np.linspace(-2 * SENS_HALF_RANGE_HZ, 2 * SENS_HALF_RANGE_HZ, 241))
-    assert np.argmin(eps_s_curve(design, grid)) == grid.size - 1
+    assert np.argmin(breakdown_curve(design, grid, with_fidelity=False).eps_s) == grid.size - 1
     best = 0.0
     for step_hz, span in ((50.0, 240), (1.0, 60), (0.01, 60)):
         points = best + hz_to_angular(step_hz) * np.arange(-span, span + 1)
-        best = points[np.argmin(eps_s_curve(design, points))]
+        best = points[np.argmin(breakdown_curve(design, points, with_fidelity=False).eps_s)]
     assert angular_to_hz(best) == pytest.approx(6.35e3, abs=50.0)
     window = best + hz_to_angular(np.linspace(-SENS_HALF_RANGE_HZ, SENS_HALF_RANGE_HZ, 121))
-    assert sensitivity(design) == pytest.approx(eps_s_curve(design, window).max(), rel=1e-5, abs=0)
+    assert sensitivity(design) == pytest.approx(
+        breakdown_curve(design, window, with_fidelity=False).eps_s.max(), rel=1e-5, abs=0
+    )
 
 
 def test_minimum_past_the_extended_search_is_a_status_row():
@@ -553,7 +593,7 @@ def test_large_width_develops_sinc_lobes(ref_config):
     big_z = replace(ref_config, pulse=replace(ref_config.pulse, z_s=58e-6))
     design = design_gate(big_z)
     dw = np.arange(0.0, 10001.0, 250.0)
-    eps = eps_s_curve(design, hz_to_angular(dw))
+    eps = breakdown_curve(design, hz_to_angular(dw), with_fidelity=False).eps_s
     interior = (eps[1:-1] < eps[:-2]) & (eps[1:-1] < eps[2:])
     lobes = dw[1:-1][interior]
     assert lobes.size >= 2

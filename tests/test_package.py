@@ -16,8 +16,8 @@ REMOVED_TARGETS = {
     ("msgate.modes", "jacobi_eigh"),
     # single-point error budget, replaced by breakdown_curve's grid-shaped path
     ("msgate.design", "error_breakdown"),
-    # golden-section polish of the sensitivity minimum, replaced by
-    # batched parabolic-vertex steps in msgate.design.sensitivity
+    # golden-section polish of the sensitivity minimum; msgate.design.sensitivity
+    # now narrows the minimum on grids of one Chebyshev interpolant
     ("msgate.design", "golden_section_min"),
     # Brent root finder of the balance solve, replaced by safeguarded Newton
     # on the analytic (d theta, d2 theta) in msgate.design.solve_balance

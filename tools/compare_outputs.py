@@ -10,15 +10,16 @@ Every file is split into named columns of cells:
 - any other text file has one column per line, whose cells are the line's
   whitespace-separated words, numbers read as real or complex.
 
-For each file and column the tool prints the number of changed cells and
-the largest |new - old| over the largest |value| of the column in either
-file. It exits 1 if that ratio exceeds QUAD_REL (1e-10, the config's
-``tol.quad_rel``) in any column, if a non-numeric cell differs, or if the
-two directories do not hold the same files of the same shape; otherwise
-0. A byte-identical file prints one line. A value that is zero in exact
-arithmetic (a root residual, a rotation error at theta = pi/2), or is
-itself a difference near rounding (an agreement gap), is a column of
-rounding noise: any change of it reads large and is judged by hand.
+For each file and column the tool prints the number of changed cells, the
+largest |new - old| over the largest |value| of the column in either file,
+and the largest per-cell |new - old| / |old|. It exits 1 if the first of
+these ratios exceeds QUAD_REL (1e-10, the config's ``tol.quad_rel``) in any
+column, if a non-numeric cell differs, or if the two directories do not
+hold the same files of the same shape; otherwise 0. A byte-identical file
+prints one line. A value that is zero in exact arithmetic (a root residual,
+a rotation error at theta = pi/2), or is itself a difference near rounding
+(an agreement gap), is a column of rounding noise: any change of it reads
+large and is judged by hand.
 """
 
 from __future__ import annotations
@@ -84,9 +85,10 @@ def columns_of(path: Path) -> dict:
     return _text_columns(text)
 
 
-def compare_column(old: list, new: list) -> tuple[int, float, bool]:
-    """(changed cells, largest |delta| / largest |value|, a non-numeric cell differs)."""
-    changed, largest_delta, scale, text_differs = 0, 0.0, 0.0, False
+def compare_column(old: list, new: list) -> tuple[int, float, float, bool]:
+    """(changed cells, largest |delta| / largest |value|, largest |delta| / |old| of a
+    cell, a non-numeric cell differs)."""
+    changed, largest_delta, largest_cell, scale, text_differs = 0, 0.0, 0.0, 0.0, False
     for a, b in zip(old, new):
         x, y = _number(a), _number(b)
         for v in (x, y):
@@ -99,9 +101,10 @@ def compare_column(old: list, new: list) -> tuple[int, float, bool]:
             text_differs = True
         else:
             largest_delta = max(largest_delta, abs(y - x))
+            largest_cell = max(largest_cell, abs(y - x) / abs(x) if x else math.inf)
     if largest_delta == 0.0:
-        return changed, 0.0, text_differs
-    return changed, largest_delta / scale if scale > 0.0 else math.inf, text_differs
+        return changed, 0.0, 0.0, text_differs
+    return changed, largest_delta / scale if scale > 0.0 else math.inf, largest_cell, text_differs
 
 
 def compare(old_dir: Path, new_dir: Path) -> bool:
@@ -127,14 +130,15 @@ def compare(old_dir: Path, new_dir: Path) -> bool:
                 print(f"{name} {column}: {len(old[column])} -> {len(new[column])} cells")
                 ok = False
                 continue
-            changed, ratio, text_differs = compare_column(old[column], new[column])
+            changed, ratio, cell_ratio, text_differs = compare_column(old[column], new[column])
             verdict = ""
             if text_differs:
                 verdict = "  NON-NUMERIC CHANGE"
             elif ratio > QUAD_REL:
                 verdict = f"  EXCEEDS {QUAD_REL:g}"
             ok = ok and not verdict
-            print(f"{name} {column}: {changed}/{len(old[column])} changed, max|d|/max|v| {ratio:.2e}{verdict}")
+            print(f"{name} {column}: {changed}/{len(old[column])} changed, max|d|/max|v| {ratio:.2e}, "
+                  f"max|d|/|old| {cell_ratio:.2e}{verdict}")
     return ok
 
 

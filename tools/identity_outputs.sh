@@ -31,6 +31,8 @@ msgate contour --config "$config" --z-min-us 20 --z-max-us 40 --z-steps 6 --dome
     --out "$out/contour_6x20.csv"
 msgate chain-study --config "$config" --n 2,12,23,33 --dx0-um 3 \
     --out "$out/chain_study.csv" --curves-out "$out/chain_study_curves.csv"
+# an edge-extended sensitivity search (4.5 um N = 16) and a SensitivityEdgeError row (6 um N = 23)
+msgate chain-study --config "$config" --n 4,16,23 --dx0-um 4.5,6 --out "$out/chain_study_edges.csv"
 msgate parity --config "$config" --out "$out/parity.csv"
 msgate design --config "$config" --out "$out/design_gaussian.json"
 msgate design --config "$config" --pulse spline_gaussian --out "$out/design_spline.json"
