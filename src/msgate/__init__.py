@@ -24,7 +24,6 @@ from .design import (
     GateDesign,
     SensitivityEdgeError,
     breakdown_curve,
-    calibrate_omega0,
     design_gate,
     phase_and_derivative,
     sensitivity,
@@ -63,9 +62,8 @@ __all__ = [
     "ResonanceError", "SensitivityEdgeError", "SplineGaussianPulse", "SquarePulse", "SystemConfig",
     "TrajectoryEngine", "TruncGaussianPulse", "ZigZagInstabilityError", "angular_to_hz",
     "axial_freq_for_center_spacing", "axial_modes", "breakdown_curve", "build_chain",
-    "build_coupling", "calibrate_omega0", "design_gate", "displacement_error",
-    "equilibrium_positions", "exact_fidelity", "hz_to_angular", "load_config", "make_pulse",
-    "parity_scan", "phase_and_derivative", "radial_modes", "reduced_density_matrix",
-    "rotation_error", "run_oracle", "sensitivity", "solve_balance", "spin_eigensystem",
-    "spline_gaussian",
+    "build_coupling", "design_gate", "displacement_error", "equilibrium_positions", "exact_fidelity",
+    "hz_to_angular", "load_config", "make_pulse", "parity_scan", "phase_and_derivative", "radial_modes",
+    "reduced_density_matrix", "rotation_error", "run_oracle", "sensitivity", "solve_balance",
+    "spin_eigensystem", "spline_gaussian",
 ]

@@ -6,8 +6,9 @@ to --out (default stdout). contour and chain-study also accept --workers
 to spread their grid over a process pool. Domain failures (no balance
 bracket, unstable or degenerate modes, a drive on resonance, too small a
 Fock cutoff) print ``error: ...`` and exit with status 1. Malformed
-arguments, an unreadable config and an oracle scope the chain or the
-integrator cannot take exit with status 2 before any design work.
+arguments (a grid size below 1, a chain-study grid without -10 and +10 kHz),
+an unreadable config and an oracle scope the chain or the integrator cannot
+take exit with status 2 before any design work.
 """
 
 from __future__ import annotations
@@ -19,14 +20,14 @@ from dataclasses import replace
 from .config import ConfigError, angular_to_hz, hz_to_angular, load_config
 from .design import design_gate
 from .oracle import CutoffError, OracleSpec, run_oracle
-from .sweeps import DOMAIN_ERRORS, chain_study, contour, parity_study, sweep_detuning
+from .sweeps import DOMAIN_ERRORS, chain_grid, chain_study, contour, parity_study, sweep_detuning
 
 
 def _add_common(parser, workers: bool = False):
     parser.add_argument("--config", required=True, help="path to the JSON system config")
     parser.add_argument("--out", default=None, help="output path (default: stdout)")
     if workers:
-        parser.add_argument("--workers", type=_positive_int, default=1, help="parallel grid workers")
+        parser.add_argument("--workers", type=_int_at_least(1), default=1, help="parallel grid workers")
 
 
 def _emit(text: str, out):
@@ -61,15 +62,19 @@ def _int_list(text: str) -> list[int]:
     return out
 
 
-def _positive_int(text: str) -> int:
-    """argparse type: an integer of at least 1."""
-    try:
-        value = int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"{text!r} is not an integer") from None
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
-    return value
+def _int_at_least(lowest: int):
+    """argparse type: an integer of at least ``lowest``."""
+
+    def parse(text: str) -> int:
+        try:
+            value = int(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"{text!r} is not an integer") from None
+        if value < lowest:
+            raise argparse.ArgumentTypeError(f"must be at least {lowest}, got {value}")
+        return value
+
+    return parse
 
 
 def _mode_list(text: str) -> tuple[int, ...]:
@@ -117,16 +122,16 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common(p)
     p.add_argument("--min-khz", type=float, default=-60.0)
     p.add_argument("--max-khz", type=float, default=180.0)
-    p.add_argument("--steps", type=int, default=601)
+    p.add_argument("--steps", type=_int_at_least(1), default=601)
     p.add_argument("--unbalanced-delta0-khz", type=float, default=-40.0)
 
     p = sub.add_parser("contour", help="eps_s over the (Gaussian width, frequency error) plane")
     _add_common(p, workers=True)
     p.add_argument("--z-min-us", type=float, default=5.0)
     p.add_argument("--z-max-us", type=float, default=60.0)
-    p.add_argument("--z-steps", type=int, default=100)
+    p.add_argument("--z-steps", type=_int_at_least(1), default=100)
     p.add_argument("--domega-khz", type=float, default=10.0, help="half range of the error axis")
-    p.add_argument("--domega-steps", type=int, default=100)
+    p.add_argument("--domega-steps", type=_int_at_least(1), default=100)
 
     p = sub.add_parser("chain-study", help="designs and robustness across chain lengths")
     _add_common(p, workers=True)
@@ -140,7 +145,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("parity", help="simulated parity scan of the designed gate")
     _add_common(p)
-    p.add_argument("--phi-steps", type=int, default=64)
+    p.add_argument("--phi-steps", type=_int_at_least(8), default=64)
     p.add_argument("--domega-khz", type=float, default=0.0)
     p.add_argument("--delta0-khz", type=float, default=None)
 
@@ -162,11 +167,13 @@ def main(argv=None) -> int:
         config = load_config(args.config)
     except (ConfigError, OSError) as exc:
         return _fail(exc, 2)
-    if args.command == "oracle":
-        try:
+    try:
+        if args.command == "oracle":
             spec = _oracle_spec(args, config)
-        except ValueError as exc:
-            return _fail(exc, 2)
+        elif args.command == "chain-study":
+            chain_grid(args.domega_khz * 1e3, args.domega_step_hz)
+    except ValueError as exc:
+        return _fail(exc, 2)
 
     try:
         if args.command == "design":

@@ -76,7 +76,7 @@ class PulseSpec:
     """Pulse parameters as they appear in the config file (Hz / s units)."""
 
     type: str = "trunc_gaussian"
-    omega0_hz: float = 1e5  # carrier Rabi rate peak, Hz (trial value; designs recalibrate)
+    omega0_hz: float = 1e5  # trial carrier Rabi rate peak, Hz; designs run at unit rate, so no output depends on it
     tau_s: float = 200e-6
     z_s: float = 25e-6  # Gaussian width; ignored by the square pulse
     n_knots: int = 13  # spline_gaussian only

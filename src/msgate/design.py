@@ -1,5 +1,5 @@
 """Balanced gate design: pick the carrier detuning that makes the
-rotation angle stationary, then calibrate the peak Rabi rate.
+rotation angle stationary, then set the peak Rabi rate.
 
 Between two modes whose eta products have opposite signs, the detuning
 derivative of the rotation angle changes sign, so a root exists where
@@ -10,9 +10,11 @@ offset, d theta / d delta_c = 0 is the same statement as first-order
 insensitivity to common motional frequency error.
 
 The balance root is the zero of d theta / d delta_c in a sign-change
-bracket: the initial endpoint pair, or else the scanned cell nearest the
-midpoint of the two modes. Safeguarded Newton on the analytic first and
-second derivatives converges it to a step below 1e-6 Hz.
+bracket inside one admissible interval [nu1 + margin, nu2 - margin]: the
+interval's ends, or else the scanned cell nearest the midpoint of the two
+modes. Safeguarded Newton on the analytic first and second derivatives
+converges it to a step below 1e-6 Hz. theta is exactly quadratic in the
+peak Rabi rate, so the design runs at unit rate and sets the rate last.
 """
 
 from __future__ import annotations
@@ -24,7 +26,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from numpy.polynomial import chebyshev
 
-from .chain import ConvergenceError, IonChain, build_chain
+from .chain import ConvergenceError, build_chain
 from .config import QUAD_REL, TWO_PI, SystemConfig, angular_to_hz, hz_to_angular
 from .errors import displacement_error, exact_fidelity, rotation_error, spin_eigensystem
 from .modes import GateCoupling, build_coupling
@@ -67,7 +69,6 @@ class GateDesign:
     delta_c: float  # rad/s, blue-tone detuning from the carrier
     theta: float  # rad, achieved rotation angle (pi/2 after calibration)
     diagnostics: dict = field(default_factory=dict)
-    chain: IonChain | None = None
     quad_rel: float = QUAD_REL
 
     @property
@@ -131,18 +132,6 @@ def _bracket_margin(pulse: PulseShape, gap: float) -> float:
     return min(margin, 0.25 * gap)
 
 
-def _margin_floor(pulse: PulseShape, gap: float) -> float:
-    """Smallest admissible margin when scanning for a bracket.
-
-    The enclosed-area B(delta) of a Gaussian envelope peaks near
-    |delta| = 0.92/z; inside that turnover a mode's own term produces a
-    spurious stationary point of theta right next to the mode, so the
-    margins never shrink past 1.2/z.
-    """
-    z = getattr(pulse, "z", None)
-    return max(1.2 / z if z else 1e-3 * gap, TWO_PI * 400.0)
-
-
 def _slope_and_curvature(coupling: GateCoupling, pulse: PulseShape, delta_c: float, quad_rel: float):
     """d theta/d delta_c and d2 theta/d delta_c2 at one carrier detuning, in one
     kernel call; raises ResonanceError within the guard band of a mode."""
@@ -190,34 +179,31 @@ def solve_balance(
 ) -> float:
     """Carrier detuning between the two target modes where d theta/d delta_c = 0.
 
-    The root is independent of the trial Rabi rate (theta scales as
-    omega0^2 uniformly). It is the zero in the bracket [nu1 + margin,
-    nu2 - margin] when the derivative changes sign across it. Otherwise
-    (the bracket then holds an even number of roots) the derivative is
-    scanned across the interval the margin floor allows, and the bracket
-    is the sign-change cell nearest the midpoint of the two modes.
-    Safeguarded Newton on the analytic (d theta, d2 theta) starts from the
-    bracket's secant point and stops at a step below 1e-6 Hz
-    (``_newton_root``); ``root_tol`` bounds the last step should the
-    iteration cap be reached. Every point evaluation raises
-    ResonanceError within the guard band of a mode; the scan does not
-    check. A BracketError reports both initial endpoint derivatives.
+    The root is independent of the Rabi rate (theta scales as omega0^2
+    uniformly). It is sought in one admissible interval [a, b] = [nu1 +
+    margin, nu2 - margin] (``_bracket_margin``): the bracket is [a, b] when
+    the derivative changes sign across it. Otherwise (the interval then
+    holds an even number of roots) the derivative is scanned at the interior
+    points of a uniform grid on [a, b], and the bracket is the sign-change
+    cell nearest the midpoint of the two modes. Safeguarded Newton on the
+    analytic (d theta, d2 theta) starts from the bracket's secant point and
+    stops at a step below 1e-6 Hz (``_newton_root``); ``root_tol`` bounds
+    the last step should the iteration cap be reached. Every point
+    evaluation raises ResonanceError within the guard band of a mode; the
+    scan does not check. A BracketError reports both interval-end derivatives.
     """
     nu1, nu2 = _target_freqs(coupling)
-    gap = nu2 - nu1
 
     def derivatives(delta_c: float) -> tuple[float, float]:
         return _slope_and_curvature(coupling, pulse, delta_c, quad_rel)
 
-    margin = _bracket_margin(pulse, gap)
+    margin = _bracket_margin(pulse, nu2 - nu1)
     a, b = nu1 + margin, nu2 - margin
     fa, fb = derivatives(a)[0], derivatives(b)[0]
     if np.sign(fa) == np.sign(fb):
-        floor = _margin_floor(pulse, gap)
         # about six samples per 2 pi / tau, the ripple period of the finite window
-        n_scan = max(33, int(np.ceil((gap - 2.0 * floor) * pulse.tau)) + 1)
-        grid = np.linspace(nu1 + floor, nu2 - floor, n_scan) if 2.0 * floor < gap else np.empty(0)
-        values = phase_and_derivative(coupling, pulse, grid, quad_rel)[1]
+        grid = np.linspace(a, b, max(33, int(np.ceil((b - a) * pulse.tau)) + 1))
+        values = np.concatenate(([fa], phase_and_derivative(coupling, pulse, grid[1:-1], quad_rel)[1], [fb]))
         signs = np.sign(values)
         changes = np.flatnonzero(signs[:-1] != signs[1:])
         if not changes.size:
@@ -237,66 +223,51 @@ def solve_balance(
     return float(root)
 
 
-def calibrate_omega0(
-    coupling: GateCoupling, pulse: PulseShape, delta_c: float, quad_rel: float = QUAD_REL
-) -> tuple[PulseShape, float]:
-    """Rescale the peak Rabi rate so |theta| = pi/2, exactly in one step.
-
-    theta is quadratic in omega0, so
-    omega0 -> omega0 sqrt((pi/2)/|theta_trial|). Returns the rescaled
-    pulse and the achieved (signed) theta.
-    """
-    _, phases = gate_integrals(pulse, delta_c - coupling.freqs, alpha=False, quad_rel=quad_rel)
-    theta_trial = float(coupling.eta_products @ phases)
-    if theta_trial == 0.0:
-        raise ValueError("trial rotation angle is zero; cannot calibrate omega0")
-    calibrated = pulse.with_omega0(pulse.omega0 * math.sqrt(THETA_TARGET / abs(theta_trial)))
-    return calibrated, theta_trial * (calibrated.omega0 / pulse.omega0) ** 2
-
-
 def design_gate(config: SystemConfig, delta0_override: float | None = None) -> GateDesign:
-    """Full design chain: modes, balance solve, Rabi-rate calibration.
+    """Full design chain: modes, balance solve, Rabi rate.
 
     Balances between the two lowest radial-b modes (TARGET_MODES).
     ``delta0_override`` (rad/s above the lowest radial-b mode) skips the
-    balance solve and produces an unbalanced reference
-    design at a fixed detuning. The achieved rotation angle is always
-    normalised to +pi/2; when the calibrated angle comes out negative
-    the differential-phase flip on the second ion is toggled, which
-    flips theta exactly and leaves the displacement error untouched.
-    Every quadrature runs to ``config.tol.quad_rel``; the design keeps it,
-    and its diagnostics give the panel count and error estimate of the
-    design-point integrals. Raises ResonanceError when the design
-    detuning sits on a mode.
+    balance solve and produces an unbalanced reference design at a fixed
+    detuning. The design runs at unit peak Rabi rate; one kernel call at the
+    design detuning gives theta_1, and omega0 = sqrt((pi/2)/|theta_1|) scales
+    that call's alpha by omega0 and B by omega0^2, so |theta| = pi/2 and the
+    config's trial ``omega0_hz`` reaches no output. When theta_1 < 0 the
+    second ion's differential-phase flip is toggled, which flips theta
+    exactly and leaves the displacement error untouched. Every quadrature
+    runs to ``config.tol.quad_rel``; the design keeps it, and its diagnostics
+    give the panel count and error estimate of the design-point integrals.
+    Raises ResonanceError when the design detuning sits on a mode.
     """
-    chain = build_chain(config)
-    coupling = build_coupling(config, chain)
-    pulse = make_pulse(config.pulse)
+    coupling = build_coupling(config, build_chain(config))
+    unit = make_pulse(config.pulse).unit_rate
     nu1, nu2 = _target_freqs(coupling)
     quad_rel = config.tol.quad_rel
 
-    bracket_note = None
-    if delta0_override is None:
-        delta_c = solve_balance(coupling, pulse, hz_to_angular(config.tol.root_hz), quad_rel)
-        bracket_note = [angular_to_hz(nu1), angular_to_hz(nu2)]
+    balanced = delta0_override is None
+    if balanced:
+        delta_c = solve_balance(coupling, unit, hz_to_angular(config.tol.root_hz), quad_rel)
     else:
         delta_c = nu1 + delta0_override
 
     deltas = delta_c - coupling.freqs
     check_resonance(deltas)
-    pulse, theta = calibrate_omega0(coupling, pulse, delta_c, quad_rel)
-    if theta < 0.0:
+    alphas, phases, slopes, curvatures = gate_integrals(unit, deltas, derivatives=2, quad_rel=quad_rel)
+    theta_unit = float(coupling.eta_products @ phases)
+    if theta_unit == 0.0:
+        raise ValueError("rotation angle is zero at the design detuning; cannot set omega0")
+    omega0 = math.sqrt(THETA_TARGET / abs(theta_unit))
+    if theta_unit < 0.0:
         coupling = coupling.flipped()
-        theta = -theta
-
-    alphas, phases, slopes, curvatures = gate_integrals(pulse, deltas, derivatives=2, quad_rel=quad_rel)
-    panels, quad_error = gate_resolution(pulse, deltas, quad_rel=quad_rel)
+    alphas = omega0 * alphas
+    phases, slopes, curvatures = (omega0 * omega0 * x for x in (phases, slopes, curvatures))
+    panels, quad_error = gate_resolution(unit, deltas, quad_rel=quad_rel)
     eps_d, eps_r, fidelity = _error_budget(coupling, alphas, phases)
     diagnostics = {
         "dtheta_ddelta_c": float(coupling.eta_products @ slopes),
         "d2theta_ddelta_c2": float(coupling.eta_products @ curvatures),
-        "bracket_hz": bracket_note,
-        "balanced": delta0_override is None,
+        "bracket_hz": [angular_to_hz(nu1), angular_to_hz(nu2)] if balanced else None,
+        "balanced": balanced,
         "eps_d": eps_d,
         "eps_r": eps_r,
         "eps_s": eps_d + eps_r,
@@ -306,11 +277,10 @@ def design_gate(config: SystemConfig, delta0_override: float | None = None) -> G
     }
     return GateDesign(
         coupling=coupling,
-        pulse=pulse,
+        pulse=unit.with_omega0(omega0),
         delta_c=float(delta_c),
-        theta=float(theta),
+        theta=omega0 * omega0 * abs(theta_unit),
         diagnostics=diagnostics,
-        chain=chain,
         quad_rel=quad_rel,
     )
 
@@ -377,11 +347,12 @@ def _eps_s_interpolant(design: GateDesign, reach: float):
     integrals = gate_integrals(design.pulse, base, shifts=reach * nodes, quad_rel=design.quad_rel)
     weights = np.where(np.arange(m) == 0, 1.0 / m, 2.0 / m)  # discrete orthogonality at the nodes
     alpha_coef, phase_coef = ((chebyshev.chebvander(nodes, m - 1) * weights).T @ v for v in integrals)
+    eigsys = spin_eigensystem(design.coupling)
 
     def eps_s(shifts) -> np.ndarray:
         vander = chebyshev.chebvander(shifts / reach, m - 1)
-        eps_d, eps_r, _ = _error_budget(design.coupling, vander @ alpha_coef, vander @ phase_coef, False)
-        return eps_d + eps_r
+        _, eps_d = displacement_error(eigsys, vander @ alpha_coef)
+        return eps_d + rotation_error(_theta(design.coupling, vander @ phase_coef))
 
     return eps_s
 

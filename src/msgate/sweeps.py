@@ -236,9 +236,21 @@ SUMMARY_COLUMNS = (
 CURVE_COLUMNS = ("n_ions", "dx0_um", "domega_khz", "eps_d", "eps_r", "eps_s", "flag")
 
 
+def chain_grid(domega_half_range_hz: float, domega_step_hz: float):
+    """``chain_study``'s frequency-error grid in Hz and the indices of -10 and +10 kHz in it;
+    ValueError for a step that is not positive or a grid without both points (to rounding)."""
+    if not domega_step_hz > 0:
+        raise ValueError(f"the frequency-error step must be positive, got {domega_step_hz!r} Hz")
+    grid = np.arange(-domega_half_range_hz, domega_half_range_hz + 0.5 * domega_step_hz, domega_step_hz)
+    edges = [np.flatnonzero(np.isclose(grid, target, rtol=1e-9, atol=0.0)) for target in (-10e3, 10e3)]
+    if not all(hits.size for hits in edges):
+        raise ValueError(f"the frequency-error grid (step {domega_step_hz:g} Hz) does not hold -10 and +10 kHz")
+    return grid, tuple(int(hits[0]) for hits in edges)
+
+
 def _chain_point(task):
     """(summary rows, curve rows) of one chain; a domain error leaves one status row."""
-    base, n, dx0, domega_grid_hz = task
+    base, n, dx0, domega_grid_hz, (minus10k, plus10k) = task
     lead = {"n_ions": n, "dx0_um": dx0 * 1e6}
     try:
         cfg = replace(
@@ -254,18 +266,14 @@ def _chain_point(task):
         i1 = design.coupling.flat_index("radial_b", 1)
         dnu10 = design.coupling.freqs[i1] - design.coupling.freqs[i0]
         curve = _curve_cells(design, domega_grid_hz, with_fidelity=False)
-        eps_at = {}
-        for target in (-10e3, 10e3):
-            j = int(np.argmin(np.abs(domega_grid_hz - target)))
-            eps_at[target] = curve["eps_s"][j]
         summary = dict(
             lead,
             delta_c_hz=angular_to_hz(design.delta_c),
             delta0_khz=angular_to_hz(design.delta0) / 1e3,
             omega0_khz=angular_to_hz(design.pulse.omega0) / 1e3,
             dnu10_khz=angular_to_hz(dnu10) / 1e3,
-            eps_s_minus10k=eps_at[-10e3],
-            eps_s_plus10k=eps_at[10e3],
+            eps_s_minus10k=curve["eps_s"][minus10k],
+            eps_s_plus10k=curve["eps_s"][plus10k],
             eps_s_max_3khz=sensitivity(design),
             even_flip=design.coupling.even_flip,
         )
@@ -287,11 +295,12 @@ def chain_study(
 
     Returns (summary, curves). Designs that fail (no balance bracket,
     radial instability) are recorded in the summary status column and
-    the study continues. ``eps_s_max_3khz`` is ``sensitivity`` over
-    +-SENS_HALF_RANGE_HZ.
+    the study continues. ``eps_s_minus10k`` and ``eps_s_plus10k`` are the
+    curve at -10 and +10 kHz, which the grid must hold (``chain_grid``).
+    ``eps_s_max_3khz`` is ``sensitivity`` over +-SENS_HALF_RANGE_HZ.
     """
-    dw_grid = np.arange(-domega_half_range_hz, domega_half_range_hz + 0.5 * domega_step_hz, domega_step_hz)
-    tasks = [(config, int(n), float(dx0), dw_grid) for dx0 in dx0_list_m for n in n_list]
+    dw_grid, edges = chain_grid(domega_half_range_hz, domega_step_hz)
+    tasks = [(config, int(n), float(dx0), dw_grid, edges) for dx0 in dx0_list_m for n in n_list]
     summary_rows = []
     curve_rows = []
     for summary, curves in _run_tasks(_chain_point, tasks, workers):

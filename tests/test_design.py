@@ -24,7 +24,6 @@ from msgate.design import (
     _slope_and_curvature,
     _target_freqs,
     breakdown_curve,
-    calibrate_omega0,
 )
 from msgate.errors import displacement_error, exact_fidelity, rotation_error, spin_eigensystem
 from msgate.modes import GateCoupling, build_coupling
@@ -232,6 +231,34 @@ def test_even_bracket_falls_back_to_scan(ref_config):
     assert abs(design.theta - np.pi / 2) <= 1e-12
 
 
+@pytest.mark.parametrize(
+    "n_ions, spacing_um, z_s",
+    [(3, 4.5, 5e-6 + 3 * 55e-6 / 99), (15, 4.5, 25e-6), (5, 6.0, 25e-6)],
+    ids=["contour z=6.67us", "4.5um N=15", "6um N=5"],
+)
+def test_scanned_roots_lie_in_the_margin_interval(n_ions, spacing_um, z_s):
+    # the designs whose interval ends agree in sign: the scan finds a root
+    # inside the one admissible interval [nu1 + margin, nu2 - margin]
+    cfg = _chain_config(n_ions, spacing_um * 1e-6)
+    cfg = replace(cfg, pulse=replace(cfg.pulse, z_s=z_s))
+    coupling = build_coupling(cfg, build_chain(cfg))
+    pulse = make_pulse(cfg.pulse).unit_rate
+    nu1, nu2 = _target_freqs(coupling)
+    margin = _bracket_margin(pulse, nu2 - nu1)
+    a, b = nu1 + margin, nu2 - margin
+    fa, fb = (_slope_and_curvature(coupling, pulse, x, cfg.tol.quad_rel)[0] for x in (a, b))
+    assert np.sign(fa) == np.sign(fb)
+    root = solve_balance(coupling, pulse, quad_rel=cfg.tol.quad_rel)
+    assert a < root < b
+    assert design_gate(cfg).delta_c == root
+
+
+def test_chain_without_a_root_in_the_margin_interval_raises():
+    cfg = _chain_config(12, 4.5e-6)
+    with pytest.raises(BracketError, match="does not change sign between modes 0 and 1 of radial_b"):
+        design_gate(cfg)
+
+
 def test_one_engine_per_design(ref_config):
     from msgate.trajectory import engine_for
 
@@ -240,22 +267,6 @@ def test_one_engine_per_design(ref_config):
     design = design_gate(cfg)
     assert design.pulse.omega0 != hz_to_angular(cfg.pulse.omega0_hz)
     assert engine_for.cache_info().misses == before + 1
-
-
-def test_calibration_quadratic_step(ref_config):
-    chain = build_chain(ref_config)
-    coupling = build_coupling(ref_config, chain)
-    pulse = make_pulse(ref_config.pulse)
-    delta_c = solve_balance(coupling, pulse)
-    calibrated, theta = calibrate_omega0(coupling, pulse, delta_c)
-    assert abs(abs(theta) - np.pi / 2) <= 1e-9
-    # theta = pi/8 trial would double omega0: emulate via a known rescale
-    eighth = calibrated.with_omega0(calibrated.omega0 / 2.0)
-    re_cal, _ = calibrate_omega0(coupling, eighth, delta_c)
-    assert re_cal.omega0 == pytest.approx(calibrated.omega0, rel=1e-9)
-    # calibrating an already calibrated pulse is a fixed point
-    again, _ = calibrate_omega0(coupling, calibrated, delta_c)
-    assert again.omega0 == pytest.approx(calibrated.omega0, rel=1e-12)
 
 
 def test_design_gate_contract(ref_design):
@@ -320,29 +331,51 @@ def test_design_gate_resonance_guard(ref_config):
 
 
 def test_design_gate_one_kernel_call_after_calibration(ref_config, monkeypatch):
+    # a fixed design makes one kernel call; a balanced one the solve's calls plus one
     import msgate.design
 
     kernel = TrajectoryEngine.alpha_and_phase_many
-    calibrate = msgate.design.calibrate_omega0
-    calls, calibrated = [], []
+    solve = msgate.design.solve_balance
+    calls, solve_calls = [], []
 
     def counted_kernel(self, *args, **kwargs):
-        calls.append(bool(calibrated))
+        calls.append(1)
         return kernel(self, *args, **kwargs)
 
-    def noted_calibrate(*args, **kwargs):
-        out = calibrate(*args, **kwargs)
-        calibrated.append(True)
+    def noted_solve(*args, **kwargs):
+        before = len(calls)
+        out = solve(*args, **kwargs)
+        solve_calls.append(len(calls) - before)
         return out
 
     monkeypatch.setattr(TrajectoryEngine, "alpha_and_phase_many", counted_kernel)
-    monkeypatch.setattr(msgate.design, "calibrate_omega0", noted_calibrate)
-    for override in (None, hz_to_angular(-40e3)):
+    monkeypatch.setattr(msgate.design, "solve_balance", noted_solve)
+    for cfg in (ref_config, replace(ref_config, pulse=replace(ref_config.pulse, type="spline_gaussian"))):
         calls.clear()
-        calibrated.clear()
-        design_gate(ref_config, delta0_override=override)
-        assert calibrated == [True]
-        assert calls.count(True) == 1
+        design_gate(cfg, delta0_override=hz_to_angular(-40e3))
+        assert len(calls) == 1
+        calls.clear()
+        solve_calls.clear()
+        design_gate(cfg)
+        assert len(solve_calls) == 1 and solve_calls[0] >= 3
+        assert len(calls) == solve_calls[0] + 1
+
+
+@pytest.mark.parametrize(
+    "pulse_type, delta0_khz",
+    [("trunc_gaussian", None), ("spline_gaussian", None), ("square", -40.0)],
+)
+def test_design_record_independent_of_trial_rabi_rate(ref_config, pulse_type, delta0_khz):
+    # the design runs at unit rate, so the config's trial omega0_hz reaches no output
+    override = None if delta0_khz is None else hz_to_angular(delta0_khz * 1e3)
+    records = {
+        design_gate(
+            replace(ref_config, pulse=replace(ref_config.pulse, type=pulse_type, omega0_hz=omega0_hz)),
+            delta0_override=override,
+        ).record_json()
+        for omega0_hz in (40e3, 100e3, 300e3)
+    }
+    assert len(records) == 1
 
 
 def test_quad_rel_reaches_every_entry_point(monkeypatch):

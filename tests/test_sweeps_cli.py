@@ -96,7 +96,7 @@ def test_contour_worker_determinism(ref_config_module):
 def test_chain_study_small(ref_config_module):
     summary, curves = chain_study(
         ref_config_module, dx0_list_m=[3.5e-6], n_list=[2, 3],
-        domega_half_range_hz=5e3, domega_step_hz=1000.0,
+        domega_half_range_hz=10e3, domega_step_hz=2000.0,
     )
     assert len(summary.rows) == 2
     status_col = summary.columns.index("status")
@@ -108,7 +108,7 @@ def test_chain_study_small(ref_config_module):
 
 
 def test_chain_study_worker_determinism(ref_config_module):
-    kwargs = dict(dx0_list_m=[3.5e-6], n_list=[2, 3], domega_half_range_hz=3e3, domega_step_hz=1500.0)
+    kwargs = dict(dx0_list_m=[3.5e-6], n_list=[2, 3], domega_half_range_hz=10e3, domega_step_hz=5000.0)
     s1, c1 = chain_study(ref_config_module, workers=1, **kwargs)
     s2, c2 = chain_study(ref_config_module, workers=2, **kwargs)
     assert s1.to_csv() == s2.to_csv()
@@ -131,17 +131,18 @@ def _nan_only_in_failed_rows(result):
     domega_steps=st.integers(1, 4),
     n_list=st.lists(st.integers(2, 8), min_size=1, max_size=2, unique=True),
     dx0_um=st.lists(st.floats(0.8, 6.0), min_size=1, max_size=2),
-    step_khz=st.floats(1.0, 6.0),
+    steps_to_10khz=st.integers(1, 5),
 )
-def test_sweeps_identical_for_one_and_two_workers(z_us, half_range_khz, domega_steps, n_list, dx0_um, step_khz):
+def test_sweeps_identical_for_one_and_two_workers(z_us, half_range_khz, domega_steps, n_list, dx0_um, steps_to_10khz):
     config = three_ion_config()
     grid = dict(z_min_s=min(z_us) * 1e-6, z_max_s=max(z_us) * 1e-6, z_steps=len(z_us),
                 domega_half_range_hz=half_range_khz * 1e3, domega_steps=domega_steps)
     serial, pooled = (contour(config, workers=w, **grid) for w in (1, 2))
     assert serial.to_csv() == pooled.to_csv()
     _nan_only_in_failed_rows(serial)
+    # chain_study's grid must hold -10 and +10 kHz
     study = dict(dx0_list_m=[d * 1e-6 for d in dx0_um], n_list=n_list,
-                 domega_half_range_hz=half_range_khz * 1e3, domega_step_hz=step_khz * 1e3)
+                 domega_half_range_hz=10e3, domega_step_hz=10e3 / steps_to_10khz)
     serial, pooled = (chain_study(config, workers=w, **study) for w in (1, 2))
     for one, two in zip(serial, pooled):
         assert one.to_csv() == two.to_csv()
@@ -152,7 +153,7 @@ def test_chain_study_records_failures(ref_config_module):
     # 800 nm spacing cannot hold a linear 8-ion chain in this trap
     summary, curves = chain_study(
         ref_config_module, dx0_list_m=[0.8e-6], n_list=[8],
-        domega_half_range_hz=2e3, domega_step_hz=1000.0,
+        domega_half_range_hz=10e3, domega_step_hz=5000.0,
     )
     status_col = summary.columns.index("status")
     assert summary.rows[0][status_col] != ""
@@ -349,14 +350,18 @@ def test_cli_workers_only_on_pooled_sweeps(capsys, command):
     ids=" ".join,
 )
 def test_cli_malformed_arguments_exit_2(tmp_path, capsys, monkeypatch, ref_config_module, argv):
+    _assert_exit_2_before_design_work(tmp_path, capsys, monkeypatch, ref_config_module, argv)
+
+
+def _assert_exit_2_before_design_work(tmp_path, capsys, monkeypatch, config, argv):
     import msgate.cli
 
     def no_design_work(*args, **kwargs):
         raise AssertionError("design work started on malformed arguments")
 
-    for name in ("design_gate", "chain_study", "run_oracle"):
+    for name in ("design_gate", "chain_study", "run_oracle", "contour", "sweep_detuning", "parity_study"):
         monkeypatch.setattr(msgate.cli, name, no_design_work)
-    path = write_config(tmp_path, ref_config_module)
+    path = write_config(tmp_path, config)
     try:
         code = msgate.cli.main([argv[0], "--config", str(path), *argv[1:]])
     except SystemExit as exc:
@@ -365,6 +370,44 @@ def test_cli_malformed_arguments_exit_2(tmp_path, capsys, monkeypatch, ref_confi
     assert code == 2
     assert "Traceback" not in err
     assert sum("error: " in line for line in err.splitlines()) == 1
+    return err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["contour", "--z-steps", "-1"],
+        ["contour", "--z-steps", "0"],
+        ["contour", "--domega-steps", "0"],
+        ["sweep-detuning", "--steps", "-1"],
+        ["parity", "--phi-steps", "4"],
+        ["chain-study", "--domega-step-hz", "0"],
+        ["chain-study", "--domega-step-hz", "-100"],
+        # grids without points at -10 and +10 kHz, where the summary's eps_s columns are taken
+        ["chain-study", "--domega-khz", "5"],
+        ["chain-study", "--domega-step-hz", "300"],
+    ],
+    ids=" ".join,
+)
+def test_cli_grid_arguments_exit_2(tmp_path, capsys, monkeypatch, ref_config_module, argv):
+    err = _assert_exit_2_before_design_work(tmp_path, capsys, monkeypatch, ref_config_module, argv)
+    if "--domega-khz" in argv or argv[-1] == "300":
+        assert "does not hold -10 and +10 kHz" in err
+
+
+def test_chain_study_10khz_columns_are_the_curve_at_10khz(ref_config_module):
+    summary, curves = chain_study(ref_config_module, dx0_list_m=[3.5e-6], n_list=[2],
+                                  domega_half_range_hz=12e3, domega_step_hz=2000.0)
+    row = dict(zip(summary.columns, summary.rows[0]))
+    curve = {r[curves.columns.index("domega_khz")]: r[curves.columns.index("eps_s")] for r in curves.rows}
+    assert (row["eps_s_minus10k"], row["eps_s_plus10k"]) == (curve[-10.0], curve[10.0])
+
+
+@pytest.mark.parametrize("half_range_hz, step_hz", [(5e3, 100.0), (10e3, 300.0), (10e3, 0.0), (10e3, -100.0)])
+def test_chain_study_needs_a_grid_through_10khz(ref_config_module, half_range_hz, step_hz):
+    with pytest.raises(ValueError):
+        chain_study(ref_config_module, dx0_list_m=[3.5e-6], n_list=[2],
+                    domega_half_range_hz=half_range_hz, domega_step_hz=step_hz)
 
 
 def test_cli_argument_lists_parse():

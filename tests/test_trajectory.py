@@ -10,7 +10,6 @@ from msgate import (
     TrajectoryEngine,
     build_chain,
     build_coupling,
-    calibrate_omega0,
     phase_and_derivative,
     run_oracle,
     solve_balance,
@@ -490,6 +489,6 @@ def test_quad_rel_picks_the_panel_count():
 def test_quad_rel_defaults_are_the_config_default():
     default = Tolerances().quad_rel
     for func in (TrajectoryEngine.alpha_and_phase_many, TrajectoryEngine.resolution, gate_integrals,
-                 gate_resolution, phase_and_derivative, solve_balance, calibrate_omega0, run_oracle):
+                 gate_resolution, phase_and_derivative, solve_balance, run_oracle):
         assert inspect.signature(func).parameters["quad_rel"].default is default, func.__name__
     assert GateDesign.__dataclass_fields__["quad_rel"].default is default

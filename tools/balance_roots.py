@@ -7,14 +7,18 @@ The first form imports msgate from SRC (the directory holding msgate/) and
 writes the balance root of 198 designs, all on configs/three_ion.json:
 the 100 widths of the default ``contour``, the ``chain-study`` chains
 N = 2..33 at 3, 4.5 and 6 um, and the balanced spline and square pulses.
-Each record holds the root in Hz (or the exception type), the kernel calls
-the solve made, the Newton step |theta'/theta''| at the root in Hz, and
-whether theta' changes sign across root +-100 Hz.
+Each record holds the root in Hz (or the exception type and message), the
+kernel calls the solve made, the Newton step |theta'/theta''| at the root in
+Hz, and whether theta' changes sign across root +-100 Hz. Every solve runs
+at the pulse's unit peak Rabi rate (``make_pulse(...).unit_rate``), as
+``design_gate`` does, so the roots are the designs' roots. The tool uses
+only names that checkouts from before that change also have, so it runs on
+them too.
 
 The second form prints, per group, the largest |root change|, the largest
 Newton step and the kernel calls of each file. It lists every design that
-raises in one file but not the other, or raises another type, and every
-root across which theta' keeps its sign.
+raises in one file but not the other, or raises another type or message, and
+every root across which theta' keeps its sign.
 """
 
 from __future__ import annotations
@@ -63,7 +67,7 @@ def write_roots(src: str, out: str) -> None:
         record = {"group": group, "label": label}
         try:
             coupling = build_coupling(cfg, build_chain(cfg))
-            pulse = make_pulse(cfg.pulse)
+            pulse = make_pulse(cfg.pulse).unit_rate
             calls[0] = 0
             TrajectoryEngine.alpha_and_phase_many = counted
             try:
@@ -71,7 +75,7 @@ def write_roots(src: str, out: str) -> None:
             finally:
                 TrajectoryEngine.alpha_and_phase_many = kernel
         except Exception as exc:  # every failure is recorded by type
-            records.append(dict(record, error=type(exc).__name__))
+            records.append(dict(record, error=type(exc).__name__, message=str(exc)))
             continue
         record.update(root_hz=root / (2.0 * np.pi), kernel_calls=calls[0])
         deltas = root - coupling.freqs
@@ -104,10 +108,11 @@ def compare(old_path: str, new_path: str) -> None:
                  for side in zip(*pairs)]
         work = [sum(r.get("kernel_calls", 0) for r in side) for side in zip(*pairs)]
         print(f"{group:<16}{shift:>17.3g}{steps[0]:>14.3g}{steps[1]:>14.3g}{work[0]:>13d}{work[1]:>13d}")
-    mismatched = [(a, b) for a, b in zip(old, new) if a.get("error") != b.get("error")]
+    mismatched = [(a, b) for a, b in zip(old, new)
+                  if (a.get("error"), a.get("message")) != (b.get("error"), b.get("message"))]
     for a, b in mismatched:
         print(f"error mismatch: {a['group']} {a['label']}: "
-              f"{a.get('error', 'root')} -> {b.get('error', 'root')}")
+              f"{a.get('error', 'root')} {a.get('message', '')!r} -> {b.get('error', 'root')} {b.get('message', '')!r}")
     for name, side in (("old", old), ("new", new)):
         flat = [f"{r['group']} {r['label']}" for r in side
                 if "root_hz" in r and not r["sign_change_100hz"]]
