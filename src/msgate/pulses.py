@@ -10,7 +10,7 @@ is fitted once per shape (tau, z, n_knots) at unit peak rate, and
 Omega = omega0 S^2 at any rate. ``PulseShape.node_samples`` gives Omega
 and R on the trajectory engine's quadrature nodes: node by node for the
 closed forms, and for the spline from one pattern of node positions that
-every knot piece shares.
+every knot piece shares, and ``log_bounds`` bounds both on complex times.
 """
 
 from __future__ import annotations
@@ -108,6 +108,12 @@ class PulseShape:
         (order, panels), the panel count a multiple of ``pieces``."""
         return self.amplitude(t), self.autocorrelation(t)
 
+    def log_bounds(self, lo, hi, y):
+        """log of bounds on |Omega| and |R| over the complex rectangles [lo, hi]
+        x [-y, y], ``lo``, ``hi`` of shape (groups, len(y)); a group's
+        rectangles lie over one piece, whose analytic continuation is bounded."""
+        raise NotImplementedError
+
     def amplitude(self, t):
         """Omega(t) in rad/s; zero outside [0, tau]."""
         t = np.asarray(t, dtype=float)
@@ -141,6 +147,10 @@ class SquarePulse(PulseShape):
     def autocorrelation(self, s):
         return self.omega0**2 * (self.tau - np.asarray(s, dtype=float))
 
+    def log_bounds(self, lo, hi, y):
+        far = np.maximum(np.abs(self.tau - lo), np.abs(self.tau - hi))
+        return np.log(self.omega0) + 0.0 * far, 2.0 * np.log(self.omega0) + 0.5 * np.log(far * far + y * y)
+
     def with_omega0(self, omega0):
         return SquarePulse(omega0=omega0, tau=self.tau)
 
@@ -169,12 +179,24 @@ class TruncGaussianPulse(PulseShape):
         gauss = np.exp(-(s**2) / (4.0 * self.z**2))
         return self.omega0**2 * self.z * math.sqrt(math.pi) * gauss * erf
 
+    def log_bounds(self, lo, hi, y):
+        """|Omega(x + iy)| = Omega(x) exp(y^2 / 2z^2). R is omega0^2 z sqrt(pi)
+        exp(-t^2 / 4z^2) erf(u + iv) with u + iv = (tau - t) / 2z, and
+        |erf(u + iv)| <= 1 + (2 / sqrt(pi)) |v| exp(v^2 - u^2); lo < tau and hi > 0."""
+        four_z2, y2 = 4.0 * self.z**2, y * y
+        near = np.clip(self.tau / 2.0, lo, hi) - self.tau / 2.0
+        log_erf = np.logaddexp(0.0, np.log(y / (self.z * math.sqrt(math.pi))) + (y2 - np.maximum(self.tau - hi, 0.0) ** 2) / four_z2)
+        log_lag = np.log(self.omega0**2 * self.z * math.sqrt(math.pi)) + (y2 - np.maximum(lo, 0.0) ** 2) / four_z2
+        return np.log(self.omega0) + (y2 - near * near) / (0.5 * four_z2), log_lag + log_erf
+
     def with_omega0(self, omega0):
         return TruncGaussianPulse(omega0=omega0, tau=self.tau, z=self.z)
 
 
 _SPLINE_R_DEGREE = 13  # degree of R(s) between knot-aligned lags (6 + 6 + 1)
 _GL7_NODES, _GL7_WEIGHTS = leggauss(7)  # exact for the degree-12 products of two Omega pieces
+_CUBIC_SAMPLES = (np.cos(np.pi * np.arange(4) / 3.0) + 1.0) / 2.0  # local positions in a knot piece
+_CUBIC_FROM_SAMPLES = np.linalg.inv(chebvander(2.0 * _CUBIC_SAMPLES - 1.0, 3))  # a cubic's Chebyshev coefficients
 
 
 @lru_cache(maxsize=64)
@@ -268,6 +290,24 @@ class SplineGaussianPulse(PulseShape):
             early = np.sum(early_hi[m + 1 :] * early_lo[: n - m - 1] * w_early, axis=(0, 2))
             samples[:, m] = h * (late + early)
         return np.linalg.solve(chebvander(cheb, _SPLINE_R_DEGREE), samples)
+
+    @cached_property
+    def _abs_coefficients(self) -> tuple[np.ndarray, np.ndarray]:
+        """|Chebyshev coefficients| of S and of R on each knot piece, (pieces, 4) and (pieces, 14)."""
+        return np.abs(_CUBIC_FROM_SAMPLES @ self._spline.on_intervals(_CUBIC_SAMPLES)).T, np.abs(self._lag_coefficients).T
+
+    def log_bounds(self, lo, hi, y):
+        """sum_k |c_k| sigma^k over the piece's Chebyshev coefficients of S
+        (Omega = omega0 S^2) and of R, sigma the piece's Bernstein ellipse
+        through the rectangle's corner."""
+        h = self._spline.x[1] - self._spline.x[0]
+        piece = ((lo[:, :1] + hi[:, :1]) // (2.0 * h)).astype(int)  # that of the group's centre
+        centre = (piece + 0.5) * h
+        corner = (np.maximum(centre - lo, hi - centre) + 1j * y) * (2.0 / h)  # in the piece's [-1, 1]
+        sigma = np.abs(corner + np.sqrt(corner - 1.0) * np.sqrt(corner + 1.0))
+        powers = sigma[..., None] ** np.arange(_SPLINE_R_DEGREE + 1)
+        spline, lag = (np.einsum("gsk,gk->gs", powers[..., : c.shape[1]], c[piece[:, 0]]) for c in self._abs_coefficients)
+        return np.log(self.omega0) + 2.0 * np.log(spline), np.log(lag)
 
     def autocorrelation(self, s):
         """Exact R(s) from its piecewise-polynomial structure (``_lag_coefficients``)."""

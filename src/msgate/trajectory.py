@@ -39,25 +39,18 @@ reuses its trial pulse's table.
 The panel count of a call follows from a relative accuracy quad_rel
 (``tol.quad_rel`` of the config) and the call's bandwidth max |delta| tau
 over all its detunings, shifts included, rounded up to a bucket top
-2^(b/8). The counts form a ladder of rungs P = 64, 128, ..., 4 096. A
-rung serves no bandwidth above 2 pi P (more than one oscillation of
-exp(i delta t) per panel lines the panel phases up at the alias
-2 pi P, where the Gauss-Legendre errors add coherently). Below that
-limit its capacity is the widest bucket on whose probe P and 2P panels
-agree to quad_rel; buckets are tried from the limit down. The probe of a
-bucket is a coarse sweep of [0, top] and one ripple period 2 pi of the
-finite window just below the top, where the error of an alias-free rule
-is largest. A call gets the smallest rung whose capacity covers its
-bucket; the agreement gap at that capacity is its error estimate. Each
-gap is the largest difference of alpha, B, dB/d delta and d2B/d delta^2,
-each relative to the sum of its weights |W_n| (a bound on that transform
-at every detuning). A gap cannot fall below the rounding of the phases
-delta t_n and of the node sums, about eps * (top + sqrt(nodes)) of that
-scale, so this floor is added to quad_rel and no estimate is reported
-below it. Past every capacity a call uses the cap, 4 096 panels, and
-reports the gap of 2 048 and 4 096 panels on its own bucket, which may
-exceed quad_rel. Capacities depend on (shape, quad_rel, rung) alone, so
-the count of a call never depends on the calls before it.
+2^(b/8). The counts form a ladder of rungs P = 64, 128, ..., 4 096. A rung
+serves no bandwidth above its alias limit 2 pi P, where the panels' errors
+add coherently. A call gets the first rung at or above that limit whose a
+priori error bound at the bucket top is at most quad_rel, and reports the
+bound plus the rounding floor eps (top + sqrt(nodes)). The bound follows
+Trefethen, "Is Gauss quadrature better than Clenshaw-Curtis?", SIAM Review
+50, 67 (2008), Thm 4.5, panel by panel: from the Chebyshev coefficients
+of exp(i delta t) (Bessel functions) and of each weight row (Cauchy's
+estimate on Bernstein ellipses E_rho, rho on a fixed grid, with the
+shape's ``log_bounds`` over about 16 panel groups), relative to the row's
+weight sum. Past the cap, 4 096 panels, it may exceed quad_rel. The count
+depends on (shape, quad_rel, bucket) alone, never on earlier calls.
 
 The total gate rotation angle is theta = sum_k eta1_k eta2_k B_k(tau)
 over all driven modes, and its derivative with respect to the carrier
@@ -81,7 +74,16 @@ MAX_PANELS = 4096  # the ladder's cap
 RESONANCE_GUARD = TWO_PI * 100.0  # rad/s; sideband drives closer than this are rejected
 _GL_NODES, _GL_WEIGHTS = leggauss(GL_ORDER)
 _BLOCK = 64  # detunings per exponential table: bounds temporaries to a few MB
-_RIPPLE_POINTS = 16  # probe points per ripple period 2 pi of delta tau
+_RHO = np.geomspace(1.25, 160.0, 8)  # Bernstein ellipses E_rho of the error bound
+_ELLIPSES = np.array([_RHO + 1.0 / _RHO - 2.0, _RHO - 1.0 / _RHO]) / 4.0  # overhang, half-height per panel width
+_GROUPS = 16  # panel groups of the bound: its cost does not grow with the panel count
+_TERMS = 16  # Chebyshev terms of exp(i a x) the bound sums one by one
+_even = np.arange(0, 2 * _TERMS + 1, 2)
+_RULE_ERRORS = np.zeros(2 * _TERMS + 1)  # |E_k|, the Gauss rule's error on T_k: zero for odd k
+_RULE_ERRORS[_even] = np.abs(2.0 / (1.0 - _even**2.0) - np.cos(np.outer(_even, np.arccos(_GL_NODES))) @ _GL_WEIGHTS)
+_RULE_ERRORS[: 2 * GL_ORDER] = 0.0  # exact below degree 2 GL_ORDER
+_k = np.arange(_TERMS + 1)
+_PAIR = (_RULE_ERRORS[np.add.outer(_k, _k)] + _RULE_ERRORS[np.abs(np.subtract.outer(_k, _k))]) / 2.0
 _BUCKETS_PER_OCTAVE = 8  # bandwidth buckets 2^(1/8) apart
 
 
@@ -107,18 +109,31 @@ def _top(bucket: int) -> float:
     return 2.0 ** (bucket / _BUCKETS_PER_OCTAVE)
 
 
-def _probe(top: float) -> np.ndarray:
-    """Probe bandwidths delta tau in [0, top]: a coarse sweep, and the last
-    ripple period of the finite window (2 pi in delta tau) sampled finely,
-    where the Gauss-Legendre error of an alias-free rule is largest."""
-    ripple = top - TWO_PI * np.arange(1, _RIPPLE_POINTS) / _RIPPLE_POINTS
-    return np.concatenate([np.linspace(0.0, top, 9), ripple[ripple > 0.0]])
-
-
 def _floor(top: float) -> float:
-    """Rounding floor of a relative gap: the phases delta t_n (eps * top)
+    """Rounding floor of a relative error: the phases delta t_n (eps * top)
     and the sums over the nodes (eps * sqrt(nodes) at the cap)."""
     return np.finfo(float).eps * (top + math.sqrt(GL_ORDER * MAX_PANELS))
+
+
+@lru_cache(maxsize=4096)
+def _series(a: float) -> tuple[float, np.ndarray]:
+    """(w0, w[rho]): the Gauss error of g(x) exp(i a' x) on [-1, 1], |a'| <= a,
+    is at most w0 |g_0| + w[rho] M if |g_j| <= 2 M rho^-j for j >= 1.
+
+    T_j T_m = (T_j+m + T_|j-m|) / 2, so the error is at most sum_jm |g_j| |e_m|
+    (|E_j+m| + |E_|j-m||) / 2, where |e_m| <= 2 (a/2)^m / m! bound the
+    exponential's coefficients 2 i^m J_m(a'). Past _TERMS terms of either
+    factor, |E_k| <= 32/15 (Trefethen, proof of Thm 4.5).
+    """
+    m = np.arange(1.0, _TERMS + 2.0)
+    with np.errstate(divide="ignore"):
+        powers = np.exp(np.minimum(m * np.log(a / 2.0) - np.cumsum(np.log(m)), 700.0))  # (a/2)^m / m!
+        e = np.concatenate([[1.0], 2.0 * powers[:-1]])
+        e_tail = np.divide(2.0 * powers[-1], max(1.0 - a / (2.0 * _TERMS + 4.0), 0.0))  # m > _TERMS
+    pair = _PAIR @ e
+    w = 2.0 * _RHO[:, None] ** -_k[1:] @ pair[1:]
+    w += (64.0 / 15.0) / (_RHO - 1.0) * ((e.sum() + e_tail) * _RHO**-_TERMS + e_tail)
+    return pair[0] + (32.0 / 15.0) * e_tail, w
 
 
 def _panel_phasors(deltas: np.ndarray, starts: np.ndarray) -> np.ndarray:
@@ -147,17 +162,16 @@ class TrajectoryEngine:
 
     A call that names no panel count gets the ladder's count for its
     quad_rel and bandwidth bucket (see the module docstring): the first
-    rung from MIN_PANELS up, doubling, whose capacity covers the bucket;
-    a rung's capacity is the widest bucket below its alias limit 2 pi P
-    on whose probe P and 2P panels agree to quad_rel plus the rounding
-    floor. Capacities are cached per (rung, quad_rel); past all of them a
-    call gets MAX_PANELS and the gap it reports.
+    rung at or above the bucket's alias rung whose ``_bound`` is at most
+    quad_rel, else MAX_PANELS. Rungs are cached per (bucket, quad_rel),
+    and each rung's envelope bounds per panel count.
     """
 
     def __init__(self, pulse: PulseShape):
         self.pulse = pulse
         self._tables: dict[int, tuple] = {}
-        self._capacities: dict[tuple[int, float], tuple[int, float]] = {}
+        self._rungs: dict[tuple[int, float], tuple[int, float]] = {}
+        self._envelopes: dict[int, tuple[np.ndarray, np.ndarray]] = {}
 
     def _aligned(self, panels: int) -> int:
         """Panels actually used: ``panels`` rounded up to whole envelope pieces."""
@@ -183,58 +197,56 @@ class TrajectoryEngine:
         return table
 
     def resolution(self, deltas, shifts=None, quad_rel: float = QUAD_REL) -> tuple[int, float]:
-        """(panel count, error estimate) of a call on ``deltas`` (+ ``shifts``).
-
-        The count is the first rung whose capacity covers the call's
-        bandwidth bucket, and the estimate that rung's gap at its capacity.
-        Past every capacity the count is MAX_PANELS and the estimate the
-        gap of MAX_PANELS / 2 and MAX_PANELS panels on the call's bucket,
-        which may exceed quad_rel.
-        """
+        """(panel count, error bound) of a call on ``deltas`` (+ ``shifts``):
+        the ladder's rung and its ``_bound`` at the call's bucket plus the
+        rounding floor, which past the cap may exceed quad_rel."""
         deltas = np.asarray(deltas, dtype=float).ravel()
         if shifts is not None:
             shifts = np.asarray(shifts, dtype=float).ravel()
-        bucket = _bucket(deltas, shifts, self.pulse.tau)
-        panels = MIN_PANELS
-        while panels < MAX_PANELS:
-            # a rung serves no bandwidth above its alias limit, so the
-            # capacities of rungs below the bucket are never computed
-            if _top(bucket) <= TWO_PI * self._aligned(panels):
-                capacity, gap = self._capacity(panels, quad_rel)
-                if capacity >= bucket:
-                    return panels, gap
-            panels *= 2
-        return MAX_PANELS, self._gap(MAX_PANELS // 2, _top(bucket))
+        key = (_bucket(deltas, shifts, self.pulse.tau), quad_rel)
+        if key not in self._rungs:
+            top, panels = _top(key[0]), MIN_PANELS
+            while panels < MAX_PANELS and top > TWO_PI * self._aligned(panels):
+                panels *= 2
+            bound = self._bound(panels, top)
+            while panels < MAX_PANELS and bound > quad_rel:
+                panels *= 2
+                bound = self._bound(panels, top)
+            self._rungs[key] = (panels, float(bound + _floor(top)))
+        return self._rungs[key]
 
-    def _capacity(self, panels: int, quad_rel: float) -> tuple[int, float]:
-        """Widest bucket a rung serves, and its agreement gap there.
+    def _bound(self, panels: int, top: float) -> float:
+        """A priori bound on the relative error of the four transforms at
+        ``panels`` panels, for every |delta| tau <= ``top``.
 
-        Buckets are tried from the rung's alias limit 2 pi panels down; the
-        first on whose probe ``panels`` and ``2 * panels`` agree to quad_rel
-        (plus the rounding floor) is the capacity; -1 if none does.
+        On a panel of width h, in x in [-1, 1], a weight row times the
+        exponential is g(x) exp(i a x) with |a| <= top / (2 panels), and
+        ``_series`` weighs bounds on the Chebyshev coefficients of g:
+        |g_0| <= M(_RHO[0]) and |g_j| <= 2 M(rho) rho^-j (Cauchy), M(rho)
+        >= |g| on a rectangle that holds the ellipses E_rho of all panels of
+        one panel group (``log_bounds``). No group straddles an envelope
+        piece. Each group's bound is minimised over rho, the groups are
+        summed, and each row is divided by its weight sum in the rung's
+        table (which the call then uses, unless the rung fails).
         """
-        key = (panels, quad_rel)
-        if key not in self._capacities:
-            limit = math.floor(_BUCKETS_PER_OCTAVE * math.log2(TWO_PI * self._aligned(panels)))
-            for bucket in range(limit, -1, -1):
-                gap, floor = self._gap(panels, _top(bucket)), _floor(_top(bucket))
-                if gap <= quad_rel + floor:
-                    self._capacities[key] = (bucket, max(gap, floor))
-                    break
-            else:
-                self._capacities[key] = (-1, math.inf)
-        return self._capacities[key]
-
-    def _gap(self, panels: int, top: float) -> float:
-        """Largest difference of the four transforms between ``panels`` and
-        ``2 * panels`` on the probe of bandwidth ``top``, each relative to
-        its weight sum."""
-        probe = _probe(top) / self.pulse.tau
-        coarse = self._evaluate(probe, None, panels)
-        fine = self._evaluate(probe, None, 2 * panels)
-        scale = np.abs(self._table(2 * panels)[2]).reshape(GL_ORDER, 4, -1).sum(axis=(0, 2))
-        diffs = np.array([np.abs(c - f).max() for c, f in zip(coarse, fine)])
-        return float(np.max(np.divide(diffs, scale, out=np.zeros(4), where=scale > 0)))
+        if panels not in self._envelopes:
+            aligned, pieces = self._aligned(panels), self.pulse.pieces
+            h, groups = self.pulse.tau / aligned, max(1, _GROUPS // pieces) * pieces
+            edges = np.arange(groups + 1) * aligned // groups
+            reach, y = h * _ELLIPSES
+            lo, hi = h * edges[:-1, None] - reach, h * edges[1:, None] + reach
+            scale = np.abs(self._table(panels)[2]).reshape(GL_ORDER, 4, -1).sum(axis=(0, 2))
+            with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+                log_omega, log_lag = self.pulse.log_bounds(lo, hi, y)
+                log_t = 0.5 * np.log(hi * hi + y * y)  # |t| on the rectangle, as hi >= |lo|
+                rows = np.exp([log_omega, log_lag, log_lag + log_t, log_lag + 2.0 * log_t])
+                envelope = rows * ((h / 2.0) * np.diff(edges)[:, None]) / scale[:, None, None]
+            self._envelopes[panels] = envelope[..., 0].sum(-1), envelope
+        first, envelope = self._envelopes[panels]
+        w0, w = _series(top / (2.0 * self._aligned(panels)))
+        with np.errstate(over="ignore", invalid="ignore"):
+            errors = w0 * first + (envelope * w).min(-1).sum(-1)
+        return float(np.fmax.reduce(errors, initial=0.0))  # fmax skips the nan of a zero row
 
     def _transform(self, deltas, shifts, table, rows: slice):
         """sum_n W[r, n] exp(i (deltas_k + shifts_j) t_n) for the weight rows
@@ -265,8 +277,9 @@ class TrajectoryEngine:
                 out[0, k0 : k0 + _BLOCK] = np.einsum("ki,irk->kr", np.exp(1j * d[:, None] * offsets), by_offset)
             return out
         w = w.reshape(offsets.size, n_rows, n_panels)
-        for k0 in range(0, deltas.size, _BLOCK):
-            d = deltas[k0 : k0 + _BLOCK]
+        block = max(1, min(_BLOCK, _BLOCK * 256 // n_panels))  # right's size stays that of 256 panels
+        for k0 in range(0, deltas.size, block):
+            d = deltas[k0 : k0 + block]
             # W[i, r, p] exp(i d_k s_p) with the panels last: (panels, K * order * R);
             # the phasors are made detuning-major first, for unit-stride reads
             right = np.ascontiguousarray(_panel_phasors(d, starts).T)[:, None, None, :] * w
@@ -277,7 +290,7 @@ class TrajectoryEngine:
                 by_offset = np.ascontiguousarray(_panel_phasors(s, starts).T) @ right
                 by_offset = by_offset.reshape(s.size, d.size, offsets.size, n_rows)
                 phases = e_off * np.exp(1j * np.multiply.outer(s, offsets))[:, None, :]  # (J, K, order)
-                out[j0 : j0 + _BLOCK, k0 : k0 + _BLOCK] = np.einsum("jki,jkir->jkr", phases, by_offset)
+                out[j0 : j0 + _BLOCK, k0 : k0 + block] = np.einsum("jki,jkir->jkr", phases, by_offset)
         return out
 
     def alpha_and_phase_many(

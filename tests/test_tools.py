@@ -54,3 +54,24 @@ def test_compare_outputs_counts_and_gates(tmp_path, capsys):
     (same / "extra.csv").write_text("a\n1\n")
     assert tool.main([str(old), str(same)]) == 1
     assert "extra.csv: only in" in capsys.readouterr().out
+
+
+def test_panel_counts_records_and_compares(tmp_path, capsys):
+    spec = importlib.util.spec_from_file_location("panel_counts", TOOL.parent / "panel_counts.py")
+    tool = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tool)
+    from msgate.config import load_config
+
+    cfg = load_config(Path(__file__).resolve().parents[1] / "configs" / "three_ion.json")
+    record = tool.panel_counts([(cfg, None), (cfg, -2e5)])  # balanced, and 31.8 kHz below the lowest mode
+    assert record["calls"] > 2 and record["errors"] == {}
+    assert all(isinstance(p, int) and p >= 64 for p in record["counts"].values())
+    old, new = tmp_path / "old.json", tmp_path / "new.json"
+    old.write_text(json.dumps(record))
+    new.write_text(json.dumps(record))
+    assert tool.main([str(old), str(new)]) == 0
+    key = next(iter(record["counts"]))
+    new.write_text(json.dumps(dict(record, counts=dict(record["counts"], **{key: 2 * record["counts"][key]}))))
+    assert tool.main([str(old), str(new)]) == 1
+    out = capsys.readouterr().out
+    assert "0 of" in out and f"changed: {key}" in out and "1 of" in out

@@ -1,4 +1,5 @@
 import inspect
+import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -22,6 +23,8 @@ from msgate.trajectory import (
     _GL_WEIGHTS,
     GL_ORDER,
     MAX_PANELS,
+    MIN_PANELS,
+    _floor,
     _panel_phasors,
     check_resonance,
     engine_for,
@@ -457,6 +460,53 @@ def test_error_estimate_bounds_the_true_error(shape):
         ref = eng.alpha_and_phase_many(deltas, MAX_PANELS, shifts=grid, derivatives=2)
         errors = [np.abs(a - b).max() / s for a, b, s in zip(got, ref, scales)]
         assert max(errors) <= estimate, (name, panels, errors, estimate)
+
+
+BOUND_SHAPES = {
+    "square": SquarePulse(omega0=1.0, tau=TAU),
+    **{f"gaussian z={z}us": TruncGaussianPulse(omega0=1.0, tau=TAU, z=z * 1e-6) for z in (5, 12, 25, 60)},
+    **{f"spline {k} knots": spline_gaussian(1.0, TAU, 25e-6, k) for k in (6, 9, 13)},
+}
+
+
+@pytest.mark.parametrize("shape", BOUND_SHAPES)
+def test_a_priori_bound_holds_at_each_rungs_widest_bandwidth(shape):
+    pulse = BOUND_SHAPES[shape]
+    scales = _weight_sums(pulse)
+    eng = TrajectoryEngine(pulse)
+    for panels in (64, 128, 256, 512, 1024):
+        estimates = []
+        for top in (np.pi * panels, TWO_PI * panels):  # half the alias limit, and the limit
+            deltas = np.linspace(-1.0, 1.0, 41) * top / TAU
+            estimate = eng._bound(panels, top) + _floor(top)
+            got = eng.alpha_and_phase_many(deltas, panels, derivatives=2)
+            ref = eng.alpha_and_phase_many(deltas, MAX_PANELS, derivatives=2)
+            errors = [np.abs(a - b).max() / s for a, b, s in zip(got, ref, scales)]
+            assert max(errors) <= estimate, (panels, top, errors, estimate)
+            estimates.append(estimate)
+        assert estimates[0] <= estimates[1], (panels, estimates)
+
+
+def test_a_cold_call_builds_one_table():
+    freqs, nu1 = _modes(3)
+    deltas = nu1 + TWO_PI * 37e3 - freqs
+    for pulse in SHAPES.values():
+        engine_for.cache_clear()
+        gate_integrals(pulse.with_omega0(2.0), deltas, derivatives=2)
+        eng = engine_for(pulse)
+        assert list(eng._tables) == [eng.resolution(deltas)[0]]
+
+
+def test_past_the_cap_and_on_overflow():
+    eng = TrajectoryEngine(SHAPES["trunc_gaussian"])
+    panels, estimate = eng.resolution([3.0 * TWO_PI * MAX_PANELS / TAU])
+    assert panels == MAX_PANELS and estimate > Tolerances().quad_rel
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # no overflow warning either
+        for pulse in BOUND_SHAPES.values():
+            panels, estimate = TrajectoryEngine(pulse).resolution([-1e7 / TAU, 1e7 / TAU])
+            assert panels == MAX_PANELS and not estimate <= Tolerances().quad_rel
+    assert TrajectoryEngine(SHAPES["square"]).resolution([1.0])[0] == MIN_PANELS
 
 
 def test_panel_choice_independent_of_history():
