@@ -24,20 +24,18 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from numpy.polynomial import chebyshev
 
 from .chain import ConvergenceError, build_chain
 from .config import QUAD_REL, TWO_PI, SystemConfig, angular_to_hz, hz_to_angular
 from .errors import displacement_error, exact_fidelity, rotation_error, spin_eigensystem
 from .modes import GateCoupling, build_coupling
 from .pulses import PulseShape, make_pulse
-from .trajectory import RESONANCE_GUARD, check_resonance, gate_integrals, gate_resolution
+from .trajectory import RESONANCE_GUARD, check_resonance, gate_integrals, gate_resolution, gate_series
 
 THETA_TARGET = math.pi / 2.0
 TARGET_MODES = ("radial_b", 0, 1)  # the balanced pair: the two lowest radial-b modes
 SENS_HALF_RANGE_HZ = 3e3  # half width of the window ``sensitivity`` scores
 _SENS_GRID_STEP = TWO_PI * 50.0
-_CHEB_TAIL = 1e-17  # Chebyshev tail bound of the sensitivity interpolant
 _ROOT_STEP = TWO_PI * 1e-6  # a balance Newton step or sensitivity bracket below this ends the search
 _NEWTON_MAX_ITER = 100
 
@@ -99,8 +97,11 @@ class GateDesign:
 def _theta(coupling: GateCoupling, values):
     """sum_k eta1_k eta2_k values_k over the last axis of (..., K) ``values``.
 
-    One row-by-vector dot product per row, so a detuning's theta does not
-    depend on the grid around it.
+    One row-by-vector dot product per row, so a row's theta depends on
+    that row alone. The rows themselves do not always: on a product grid
+    of more shifts than its interval's series order, the kernel takes them
+    from the interval's Chebyshev series (``gate_integrals``), within
+    ``quad_error`` of the point-by-point values.
     """
     return (values[..., None, :] @ coupling.eta_products[:, None])[..., 0, 0]
 
@@ -289,8 +290,10 @@ def _error_budget(coupling: GateCoupling, alphas, phases, with_fidelity: bool = 
     """eps_d, eps_r and the exact fidelity from (..., K) end-of-gate alpha and B.
 
     Without ``with_fidelity`` the fidelity is NaN of the same shape. Each
-    theta is summed by ``_theta``, so a grid point's figures do not depend
-    on the grid around it.
+    theta is summed by ``_theta``, so a grid point's figures depend on its
+    own alpha and B alone; on a grid wider than the kernel's series order
+    those come from the grid interval's series, within ``quad_error`` (see
+    ``_theta``).
     """
     eigsys = spin_eigensystem(coupling)
     _, eps_d = displacement_error(eigsys, alphas)
@@ -333,26 +336,16 @@ def breakdown_curve(design: GateDesign, domegas, with_fidelity: bool = True) -> 
 
 
 def _eps_s_interpolant(design: GateDesign, reach: float):
-    """eps_s(s) for |s| <= ``reach``, interpolated from one kernel call.
-
-    alpha_k(s) and B_k(s) are sums of exp(i s t), |t| <= tau, so m first-kind
-    Chebyshev points leave a tail below (reach tau/2)^m / m! (|J_m(x)| <= (x/2)^m / m!).
-    """
-    m, tail = 0, 1.0
-    while tail > _CHEB_TAIL:
-        m += 1
-        tail *= 0.5 * reach * design.pulse.tau / m
-    nodes = chebyshev.chebpts1(m)
+    """eps_s(s) for |s| <= ``reach``, from one Chebyshev series in the shift
+    (``gate_series``, one kernel call)."""
     base = design.delta_c - design.coupling.freqs
-    integrals = gate_integrals(design.pulse, base, shifts=reach * nodes, quad_rel=design.quad_rel)
-    weights = np.where(np.arange(m) == 0, 1.0 / m, 2.0 / m)  # discrete orthogonality at the nodes
-    alpha_coef, phase_coef = ((chebyshev.chebvander(nodes, m - 1) * weights).T @ v for v in integrals)
+    series = gate_series(design.pulse, base, -reach, reach, quad_rel=design.quad_rel)
     eigsys = spin_eigensystem(design.coupling)
 
     def eps_s(shifts) -> np.ndarray:
-        vander = chebyshev.chebvander(shifts / reach, m - 1)
-        _, eps_d = displacement_error(eigsys, vander @ alpha_coef)
-        return eps_d + rotation_error(_theta(design.coupling, vander @ phase_coef))
+        alphas, phases = series(shifts)
+        _, eps_d = displacement_error(eigsys, alphas)
+        return eps_d + rotation_error(_theta(design.coupling, phases))
 
     return eps_s
 

@@ -19,7 +19,6 @@ either way, making the output byte-identical for any worker count.
 from __future__ import annotations
 
 import re
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -88,9 +87,15 @@ def _base_metadata(config: SystemConfig, **extra) -> dict:
 
 
 def _run_tasks(worker, tasks, workers: int):
-    """Ordered map over tasks, optionally via a pool of at most one process per task."""
+    """Ordered map over tasks, optionally via a pool of at most one process per task.
+
+    The pool's modules (multiprocessing and what it pulls in) are imported
+    only when a pool starts, so a one-worker run does not load them.
+    """
     if workers <= 1 or len(tasks) <= 1:
         return [worker(task) for task in tasks]
+    from concurrent.futures import ProcessPoolExecutor
+
     with ProcessPoolExecutor(max_workers=min(workers, len(tasks))) as pool:
         return list(pool.map(worker, tasks))
 

@@ -52,6 +52,25 @@ shape's ``log_bounds`` over about 16 panel groups), relative to the row's
 weight sum. Past the cap, 4 096 panels, it may exceed quad_rel. The count
 depends on (shape, quad_rel, bucket) alone, never on earlier calls.
 
+alpha_k and B_k are entire in the shift s: sums of exp(i s t_n) with
+|t_n| <= tau. On an interval of half-width r the Chebyshev coefficients of
+exp(i s t) in (s - centre) / r are 2 i^j J_j(r t), and |J_j(x)| <=
+(x/2)^j / j!. So m first-kind Chebyshev points carry every row of a call,
+derivatives included, with a tail below (r tau/2)^m / m! of the row's
+weight sum; m is the fewest points that put this tail at or below
+_CHEB_TAIL = 1e-17 (``series_order``), 42 for +-10 kHz at tau = 200 us.
+``shift_series`` evaluates rows at those m points, takes the coefficients
+by discrete orthogonality and sums the series at any shifts. A product
+grid of J shifts whose interval [min, max] needs m < J points is evaluated
+that way, at the panel count ``resolution`` gives the J-shift call: the
+tail sits below the rounding floor of ``quad_error``, which so keeps its
+meaning. Grids of J <= m shifts, a zero-width interval and calls at a
+fixed panel count are evaluated directly. This is the low-rank idea of
+Ruiz-Antolin and Townsend, "A nonuniform fast Fourier transform based on
+low rank approximation", SIAM J. Sci. Comput. 40, A529 (2018), on the
+shift axis only; see also Trefethen, Approximation Theory and
+Approximation Practice (SIAM, 2019), ch. 8.
+
 The total gate rotation angle is theta = sum_k eta1_k eta2_k B_k(tau)
 over all driven modes, and its derivative with respect to the carrier
 detuning is the quantity the balanced designs drive to zero.
@@ -63,6 +82,7 @@ import math
 from functools import lru_cache
 
 import numpy as np
+from numpy.polynomial import chebyshev
 from numpy.polynomial.legendre import leggauss
 
 from .config import QUAD_REL, TWO_PI
@@ -85,6 +105,7 @@ _RULE_ERRORS[: 2 * GL_ORDER] = 0.0  # exact below degree 2 GL_ORDER
 _k = np.arange(_TERMS + 1)
 _PAIR = (_RULE_ERRORS[np.add.outer(_k, _k)] + _RULE_ERRORS[np.abs(np.subtract.outer(_k, _k))]) / 2.0
 _BUCKETS_PER_OCTAVE = 8  # bandwidth buckets 2^(1/8) apart
+_CHEB_TAIL = 1e-17  # tail bound of a Chebyshev series in the shift, relative to a row's weight sum
 
 
 class ResonanceError(ValueError):
@@ -150,6 +171,53 @@ def _panel_phasors(deltas: np.ndarray, starts: np.ndarray) -> np.ndarray:
     coarse = np.exp(1j * np.multiply.outer(starts[::block], deltas))  # (Q, K)
     fine = np.exp(1j * np.multiply.outer(starts[:block], deltas))  # (B, K)
     return (coarse[:, None, :] * fine[None, :, :]).reshape(-1, deltas.size)[: starts.size]
+
+
+def series_order(half_width: float, tau: float) -> int:
+    """Points m of a Chebyshev series in the shift over an interval of
+    half-width ``half_width`` (rad/s): the fewest whose tail bound
+    (half_width tau/2)^m / m! is at most _CHEB_TAIL."""
+    m, tail = 0, 1.0
+    while tail > _CHEB_TAIL:
+        m += 1
+        tail *= 0.5 * half_width * tau / m
+    return m
+
+
+@lru_cache(maxsize=64)
+def _chebyshev_fit(m: int) -> tuple[np.ndarray, np.ndarray]:
+    """The m first-kind Chebyshev points of [-1, 1] and the (m, m) matrix that
+    takes values there to Chebyshev coefficients (discrete orthogonality)."""
+    nodes = chebyshev.chebpts1(m)
+    weights = np.where(np.arange(m) == 0, 1.0 / m, 2.0 / m)
+    fit = (chebyshev.chebvander(nodes, m - 1) * weights).T
+    nodes.flags.writeable = fit.flags.writeable = False
+    return nodes, fit
+
+
+def shift_series(evaluate, lo: float, hi: float, m: int):
+    """Chebyshev series in the shift s over [lo, hi] (lo < hi) of the rows of ``evaluate``.
+
+    ``evaluate(shifts)`` is called once, at the m first-kind Chebyshev
+    points of [lo, hi], and returns a tuple of arrays with the shifts on
+    their first axis, or None in place of a row. The coefficients come by
+    discrete orthogonality at the points. The result ``series(shifts)``
+    sums each row's series at ``shifts``, shape shifts.shape + the row's
+    trailing shape, and keeps the None rows.
+    """
+    if not hi > lo:
+        raise ValueError(f"a series interval needs lo < hi, got [{lo!r}, {hi!r}]")
+    centre, half = 0.5 * (lo + hi), 0.5 * (hi - lo)
+    nodes, fit = _chebyshev_fit(m)
+    rows = evaluate(centre + half * nodes)
+    coefs = [None if row is None else (fit @ row.reshape(m, -1), row.shape[1:]) for row in rows]
+
+    def series(shifts) -> tuple:
+        shifts = np.asarray(shifts, dtype=float)
+        vander = chebyshev.chebvander((shifts - centre) / half, m - 1)
+        return tuple(None if c is None else (vander @ c[0]).reshape(shifts.shape + c[1]) for c in coefs)
+
+    return series
 
 
 class TrajectoryEngine:
@@ -278,12 +346,14 @@ class TrajectoryEngine:
             return out
         w = w.reshape(offsets.size, n_rows, n_panels)
         block = max(1, min(_BLOCK, _BLOCK * 256 // n_panels))  # right's size stays that of 256 panels
+        # one buffer for every block's right factor: a fresh array per block pays its page faults again
+        buffer = np.empty((min(block, deltas.size), offsets.size, n_rows, n_panels), dtype=complex)
         for k0 in range(0, deltas.size, block):
             d = deltas[k0 : k0 + block]
             # W[i, r, p] exp(i d_k s_p) with the panels last: (panels, K * order * R);
             # the phasors are made detuning-major first, for unit-stride reads
-            right = np.ascontiguousarray(_panel_phasors(d, starts).T)[:, None, None, :] * w
-            right = right.reshape(-1, n_panels).T
+            phasors = np.ascontiguousarray(_panel_phasors(d, starts).T)[:, None, None, :]
+            right = np.multiply(phasors, w, out=buffer[: d.size]).reshape(-1, n_panels).T
             e_off = np.exp(1j * np.multiply.outer(d, offsets))  # (K, order)
             for j0 in range(0, shifts.size, _BLOCK):
                 s = shifts[j0 : j0 + _BLOCK]
@@ -310,14 +380,32 @@ class TrajectoryEngine:
         otherwise they have the shape of ``deltas``. ``alpha=False``
         returns None for alpha and skips its transform. ``derivatives``
         (0, 1 or 2) appends dB/d delta and then d2B/d delta^2 to the result.
-        ``panels`` fixes the resolution; without it the panel count is
-        ``resolution(deltas, shifts, quad_rel)``.
+
+        ``panels`` fixes the resolution, and the call is evaluated directly.
+        Without it the panel count is ``resolution(deltas, shifts,
+        quad_rel)``, and a product grid whose J shifts exceed the
+        ``series_order`` m of their interval [min, max] is evaluated at m
+        Chebyshev points of that interval and interpolated (``shift_series``;
+        Ruiz-Antolin and Townsend, SIAM J. Sci. Comput. 40, A529 (2018),
+        on the shift axis; Trefethen, ATAP ch. 8): every row, within the tail
+        bound 1e-17 of its weight sum, below ``quad_error``'s rounding
+        floor. J <= m shifts, and J equal shifts, are evaluated directly.
         """
         deltas = np.asarray(deltas, dtype=float)
         if shifts is not None:
             shifts = np.atleast_1d(np.asarray(shifts, dtype=float)).ravel()
-        if panels is None:
-            panels = self.resolution(deltas, shifts, quad_rel)[0]
+        if panels is not None:
+            return self._evaluate(deltas, shifts, panels, alpha, derivatives)
+        panels = self.resolution(deltas, shifts, quad_rel)[0]
+        if shifts is not None and shifts.size > 1:
+            lo, hi = float(shifts.min()), float(shifts.max())
+            m = series_order(0.5 * (hi - lo), self.pulse.tau)
+            if shifts.size > m and hi > lo:
+
+                def at_nodes(nodes):
+                    return self._evaluate(deltas, nodes, panels, alpha, derivatives)
+
+                return shift_series(at_nodes, lo, hi, m)(shifts)
         return self._evaluate(deltas, shifts, panels, alpha, derivatives)
 
     def _evaluate(self, deltas, shifts, panels: int, alpha: bool = True, derivatives: int = 2):
@@ -351,9 +439,34 @@ def gate_integrals(pulse: PulseShape, deltas, shifts=None, alpha=True, derivativ
     out = unit.alpha_and_phase_many(
         deltas, shifts=shifts, alpha=alpha, derivatives=derivatives, quad_rel=quad_rel
     )
-    scale = pulse.omega0
-    alphas = None if out[0] is None else scale * out[0]
-    return (alphas,) + tuple(scale * scale * x for x in out[1:])
+    return _at_rate(pulse.omega0, out)
+
+
+def _at_rate(omega0: float, out: tuple) -> tuple:
+    """Unit-rate kernel rows at peak Rabi rate omega0: alpha times omega0, the B rows times omega0^2."""
+    alphas = None if out[0] is None else omega0 * out[0]
+    return (alphas,) + tuple(omega0 * omega0 * x for x in out[1:])
+
+
+def gate_series(pulse: PulseShape, deltas, lo: float, hi: float, alpha=True, derivatives=0, quad_rel=QUAD_REL):
+    """Chebyshev series in the shift over [lo, hi] of ``gate_integrals(pulse,
+    deltas, shifts, alpha, derivatives, quad_rel)``, from one kernel call.
+
+    m is the ``series_order`` of the named interval (lo < hi). The call at
+    its m points names the panel count ``resolution`` gives those points,
+    so it is evaluated directly and never interpolated again.
+    ``gate_series(...)(shifts)`` returns the rows at any shifts in [lo, hi],
+    in ``gate_integrals``' units.
+    """
+    unit = engine_for(pulse.unit_rate)
+
+    def at_nodes(nodes):
+        panels = unit.resolution(deltas, nodes, quad_rel)[0]
+        return _at_rate(pulse.omega0, unit.alpha_and_phase_many(
+            deltas, panels, shifts=nodes, alpha=alpha, derivatives=derivatives
+        ))
+
+    return shift_series(at_nodes, lo, hi, series_order(0.5 * (hi - lo), pulse.tau))
 
 
 def gate_resolution(pulse: PulseShape, deltas, shifts=None, quad_rel=QUAD_REL) -> tuple[int, float]:

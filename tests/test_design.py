@@ -28,8 +28,8 @@ from msgate.design import (
 from msgate.errors import displacement_error, exact_fidelity, rotation_error, spin_eigensystem
 from msgate.modes import GateCoupling, build_coupling
 from msgate.pulses import TruncGaussianPulse, make_pulse
-from msgate.sweeps import DOMAIN_ERRORS, chain_study
-from msgate.trajectory import ResonanceError, TrajectoryEngine, gate_integrals
+from msgate.sweeps import DOMAIN_ERRORS, chain_grid, chain_study
+from msgate.trajectory import ResonanceError, TrajectoryEngine, gate_integrals, gate_resolution
 
 from conftest import three_ion_config
 
@@ -554,6 +554,32 @@ def test_sensitivity_interpolant_matches_the_kernel():
         )
         checked += 1
     assert checked >= 6
+
+
+def test_wide_curve_grids_are_one_series_transform(monkeypatch):
+    # chain-study's 201-shift curve of its 33-ion, 3 um chain: one transform at
+    # the 42 Chebyshev points of +-10 kHz, on the panels the 201-shift call gets
+    design = design_gate(_chain_config(33, 3e-6))
+    base = design.delta_c - design.coupling.freqs
+    grid = hz_to_angular(chain_grid(10e3, 100.0)[0])
+    assert gate_resolution(design.pulse, base, grid, design.quad_rel) == pytest.approx((512, 3.938935606748214e-13))
+    transform = TrajectoryEngine._transform
+    seen = []
+
+    def recording(self, deltas, shifts, table, rows):
+        seen.append((shifts.copy(), table[0].size))
+        return transform(self, deltas, shifts, table, rows)
+
+    monkeypatch.setattr(TrajectoryEngine, "_transform", recording)
+    breakdown_curve(design, grid, with_fidelity=False)
+    assert [(shifts.size, panels) for shifts, panels in seen] == [(42, 512)]
+    # J <= m: the shifts themselves, m = 42 shifts included
+    for n in (21, 42):
+        seen.clear()
+        shifts = hz_to_angular(np.linspace(-10e3, 10e3, n))
+        breakdown_curve(design, shifts, with_fidelity=False)
+        assert len(seen) == 1
+        np.testing.assert_array_equal(seen[0][0], shifts)
 
 
 @pytest.mark.parametrize("n_ions, spacing_m", [(4, 4.5e-6), (23, 3e-6)])

@@ -196,6 +196,8 @@ def test_failure_rows_share_one_status_text_and_parse_as_csv(ref_config_module, 
 
 
 def test_pool_starts_at_most_one_process_per_task(ref_config_module, monkeypatch):
+    import concurrent.futures
+
     import msgate.sweeps
 
     pool_sizes = []
@@ -213,12 +215,24 @@ def test_pool_starts_at_most_one_process_per_task(ref_config_module, monkeypatch
         def map(self, fn, tasks):
             return map(fn, tasks)
 
-    monkeypatch.setattr(msgate.sweeps, "ProcessPoolExecutor", RecordingPool)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
     assert msgate.sweeps._run_tasks(abs, [-1, -2, -3], 8) == [1, 2, 3]
     assert msgate.sweeps._run_tasks(abs, [-1, -2, -3], 2) == [1, 2, 3]
     grid = dict(z_min_s=18e-6, z_max_s=32e-6, z_steps=3, domega_steps=2)
     assert contour(ref_config_module, workers=8, **grid).to_csv() == contour(ref_config_module, **grid).to_csv()
     assert pool_sizes == [3, 2, 3]
+
+
+def test_cli_import_loads_no_process_pool():
+    import msgate
+
+    # the pool's modules cost every one-worker run their import time; they load when a pool starts
+    package_root = str(Path(msgate.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [package_root, os.environ.get("PYTHONPATH")])))
+    probe = "import sys, msgate.cli; print(sorted({'multiprocessing', 'concurrent.futures.process'} & set(sys.modules)))"
+    proc = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True, timeout=120, env=env)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
 
 
 def test_parity_rows_and_estimate(ref_config_module):

@@ -30,6 +30,8 @@ from msgate.trajectory import (
     engine_for,
     gate_integrals,
     gate_resolution,
+    gate_series,
+    series_order,
 )
 
 from conftest import three_ion_config
@@ -539,6 +541,65 @@ def test_quad_rel_picks_the_panel_count():
 def test_quad_rel_defaults_are_the_config_default():
     default = Tolerances().quad_rel
     for func in (TrajectoryEngine.alpha_and_phase_many, TrajectoryEngine.resolution, gate_integrals,
-                 gate_resolution, phase_and_derivative, solve_balance, run_oracle):
+                 gate_resolution, gate_series, phase_and_derivative, solve_balance, run_oracle):
         assert inspect.signature(func).parameters["quad_rel"].default is default, func.__name__
     assert GateDesign.__dataclass_fields__["quad_rel"].default is default
+
+
+def _random_pulse(rng, kind):
+    if kind == "square":
+        return SquarePulse(omega0=1.0, tau=TAU)
+    if kind == "trunc_gaussian":
+        return TruncGaussianPulse(omega0=1.0, tau=TAU, z=rng.uniform(5e-6, 60e-6))
+    return spline_gaussian(1.0, TAU, rng.uniform(12e-6, 45e-6), int(rng.integers(6, 14)))
+
+
+def test_interpolated_grids_match_direct_ones():
+    # random shapes, chains and shift intervals 1-240 kHz wide, centred and
+    # off-centre; J = m is evaluated directly, m + 1 and 4 m from the series
+    rng = np.random.default_rng(24)
+    quad_rel = Tolerances().quad_rel
+    for case in range(12):
+        pulse = _random_pulse(rng, ("square", "trunc_gaussian", "spline_gaussian")[case % 3])
+        freqs, nu1 = _modes(int(rng.integers(2, 34)), rng.uniform(3e-6, 6e-6))
+        deltas = nu1 + TWO_PI * rng.uniform(-60e3, 120e3) - freqs
+        half = TWO_PI * rng.uniform(0.5e3, 120e3)
+        centre = 0.0 if case % 2 else TWO_PI * rng.uniform(-60e3, 60e3)
+        m = series_order(half, TAU)
+        eng = TrajectoryEngine(pulse)
+        for n in (m, m + 1, 4 * m):
+            shifts = centre + np.concatenate([[-half, half], rng.uniform(-half, half, n - 2)])
+            panels = eng.resolution(deltas, shifts)[0]
+            got = eng.alpha_and_phase_many(deltas, shifts=shifts, derivatives=2)
+            want = eng._evaluate(deltas, shifts, panels)
+            for row, (a, b) in enumerate(zip(got, want)):
+                assert a.shape == b.shape == (n, deltas.size)
+                if n == m:
+                    np.testing.assert_array_equal(a, b)
+                else:
+                    np.testing.assert_allclose(a, b, rtol=0, atol=quad_rel * np.abs(b).max(), err_msg=f"{case} {n} {row}")
+
+
+def test_degenerate_and_unsorted_shift_sets():
+    eng = TrajectoryEngine(SHAPES["trunc_gaussian"])
+    freqs, nu1 = _modes(5)
+    deltas = nu1 + TWO_PI * 20e3 - freqs
+    spread = TWO_PI * np.linspace(-10e3, 10e3, 201)  # 201 shifts, m = 42
+    cases = {
+        "equal": np.full(60, TWO_PI * 3e3),  # J > 1 on a zero-width interval
+        "single": np.array([TWO_PI * -4e3]),
+        "descending": spread[::-1],
+        "unsorted": np.random.default_rng(5).permutation(spread),
+    }
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # no division by a zero half-width either
+        for name, shifts in cases.items():
+            panels = eng.resolution(deltas, shifts)[0]
+            got = eng.alpha_and_phase_many(deltas, shifts=shifts, derivatives=2)
+            want = eng._evaluate(deltas, shifts, panels)
+            for a, b in zip(got, want):
+                assert a.shape == b.shape and np.isfinite(a).all(), name
+                if name in ("equal", "single"):
+                    np.testing.assert_array_equal(a, b, err_msg=name)
+                else:
+                    np.testing.assert_allclose(a, b, rtol=0, atol=Tolerances().quad_rel * np.abs(b).max(), err_msg=name)
