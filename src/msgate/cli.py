@@ -19,7 +19,7 @@ from dataclasses import replace
 
 from .config import ConfigError, angular_to_hz, hz_to_angular, load_config
 from .design import design_gate
-from .oracle import CutoffError, OracleSpec, run_oracle
+from .oracle import CutoffError, OracleSpec, run_oracle, run_oracle_to_tolerance
 from .sweeps import DOMAIN_ERRORS, chain_grid, chain_study, contour, parity_study, sweep_detuning
 
 
@@ -98,7 +98,8 @@ def _oracle_spec(args, config) -> OracleSpec:
     missing = [k for k in args.modes if k >= config.n_ions]
     if missing:
         raise ValueError(f"no radial-b mode {missing} in a {config.n_ions}-ion chain")
-    return OracleSpec(mode_indices=args.modes, n_max=args.nmax, n_steps=args.steps)
+    steps = OracleSpec.n_steps if args.steps is None else args.steps
+    return OracleSpec(mode_indices=args.modes, n_max=args.nmax, n_steps=steps)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -155,7 +156,13 @@ def build_parser() -> argparse.ArgumentParser:
         "--modes", type=_mode_list, default="0,1", help="radial-b mode indices to keep (at most 3)"
     )
     p.add_argument("--nmax", type=int, default=15)
-    p.add_argument("--steps", type=int, default=200_000)
+    p.add_argument(
+        "--steps",
+        type=int,
+        default=None,
+        help="fixed RK4 step count (default: doubled from 1,000 up to 200,000 until the "
+        "step-doubling estimate of alpha and B is at most 1e-10)",
+    )
     p.add_argument("--domega-khz", type=float, default=0.0)
 
     return parser
@@ -228,7 +235,8 @@ def main(argv=None) -> int:
         elif args.command == "oracle":
             design = design_gate(config)
             flat = tuple(design.coupling.flat_index("radial_b", k) for k in spec.mode_indices)
-            report = run_oracle(
+            run = run_oracle if args.steps is not None else run_oracle_to_tolerance
+            report = run(
                 design.coupling,
                 design.pulse,
                 design.delta_c,

@@ -19,11 +19,18 @@ The integration runs in the spin branches of a numerical eigendecomposition
 of the S_k built here (not the analytic branch eigenvalues used for the
 reference state), and one RK4 steps the whole multi-mode state: no product
 of per-mode propagators or other shortcut across modes.
+
+``run_oracle`` integrates with the step count it is given.
+``run_oracle_to_tolerance`` chooses it: it doubles the count from 1,000
+until the step-doubling (Richardson) estimate of the error of the numeric
+alpha and B, |X_n - X_{n/2}| / 15 for RK4's h^4 (Hairer, Norsett & Wanner,
+Solving Ordinary Differential Equations I, Sec. II.4), is at most
+STEP_TOL = 1e-10 of their largest value.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from math import sqrt
 
 import numpy as np
@@ -40,6 +47,9 @@ _LEAK_TOL = 1e-8
 _MIX = np.sqrt([2.0, 3.0, 5.0])  # generic weights of the S_k combination that eigh diagonalises
 _DIAG_TOL = 1e-12  # off-diagonal of V^dag S_k V relative to the largest |S_k| entry
 _CHUNK_STEPS = 256  # RK4 steps per table of drive numbers
+_RK4_ROWS = np.array([1.0, 2.0, 1.0, 1.0]) / 3.0  # (h/6)(k1 + 2 k2 + 2 k3 + k4) from the stage rows
+STEP_TOL = 1e-10  # relative step-doubling estimate at which run_oracle_to_tolerance stops
+_FIRST_STEPS = 1_000  # the smallest count OracleSpec takes
 
 
 class CutoffError(RuntimeError):
@@ -74,9 +84,14 @@ class OracleReport:
     phase_analytic: np.ndarray = field(repr=False)  # B_k from quadrature
     phase_numeric: np.ndarray = field(repr=False)  # B_k extracted from the state
     norm_drift: float = 0.0
+    n_steps: int | None = None  # RK4 steps of the run
+    step_error: float | None = None  # step-doubling estimate, relative, of alpha and B
 
     def summary_lines(self):
         lines = [f"overlap = {self.overlap:.12f}", f"norm drift = {self.norm_drift:.3e}"]
+        if self.step_error is not None:
+            lines.insert(0, f"steps = {self.n_steps} (step-doubling estimate {self.step_error:.1e} "
+                            f"of alpha and B, tolerance {STEP_TOL:.0e})")
         for k in range(self.alpha_analytic.size):
             lines.append(
                 f"mode {k}: alpha analytic {self.alpha_analytic[k]:.6e} "
@@ -157,6 +172,10 @@ def _spin_eigensystem(spins: list[np.ndarray]) -> tuple[np.ndarray, np.ndarray]:
         lam[k] = np.diag(rotated).real
         if np.abs(rotated - np.diag(lam[k])).max() > _DIAG_TOL * scale:
             raise RuntimeError(f"spin operator {k} is not diagonal in the common eigenbasis")
+    # an eigenvalue at rounding level is a zero: kept, it would drive the mode
+    # in that branch with amplitudes that sink into subnormal floats, which
+    # cost several times a normal float in every later step
+    lam[np.abs(lam) <= _DIAG_TOL * scale] = 0.0
     return basis, lam
 
 
@@ -169,12 +188,17 @@ def _evolve(spins, deltas, pulse, spec) -> np.ndarray:
     exp(-i delta_k t) a_k^dag. On the flattened state, a_k^dag and a_k read
     the entries one mode-k stride below and above, with static real weights
     lam_k[s] sqrt(m) that are zero where the shift leaves the mode's Fock
-    range. The drive enters only as one complex number per shift, (h/2) i
-    Omega exp(+-i delta_k t), tabulated on the half-step grid _CHUNK_STEPS
-    steps at a time. So one stage is a weighted-shift product per mode and
-    one matrix-vector product with the drive numbers. psi is rebuilt as
-    psi0 plus V times the departure phi - phi0: a silent drive adds exact
-    zeros to phi, so it returns psi0 bit for bit.
+    range. Two modes share one strided view of the padded state, so one
+    multiply forms the weighted shifts of both. The drive enters only as one
+    complex number per shift, (h/2) i Omega exp(+-i delta_k t), tabulated on
+    the half-step grid _CHUNK_STEPS steps at a time; the third stage's row is
+    doubled there, which is exact. So one stage is one multiply per pair of
+    modes and one matrix-vector product with the drive numbers into a row of
+    the (4, size) stage buffer g = (h/2 k1, h/2 k2, h k3, h/2 k4), and the
+    RK4 combination is one real product of (1, 2, 1, 1) / 3 with g: 13 numpy
+    calls per step for two modes, 17 for three, and no Python function call.
+    psi is rebuilt as psi0 plus V times the departure phi - phi0: a silent
+    drive adds exact zeros to phi, so it returns psi0 bit for bit.
     """
     n_modes, n_max, n_steps = deltas.size, spec.n_max, spec.n_steps
     h = pulse.tau / n_steps
@@ -185,8 +209,8 @@ def _evolve(spins, deltas, pulse, spec) -> np.ndarray:
     strides = [n_max ** (n_modes - 1 - k) for k in range(n_modes)]
     pad = strides[0]
 
-    # shift weights per mode, rows (a^dag, a), repeated over the real and
-    # imaginary parts of the interleaved float view of the state
+    # shift weights per row 2k (a_k^dag) and 2k + 1 (a_k), repeated over the
+    # real and imaginary parts of the interleaved float view of the state
     fock = np.indices(psi0.shape).reshape(1 + n_modes, size)
     branch = lam[:, fock[0]]
     raising = np.sqrt(np.arange(float(n_max)))  # a^dag: sqrt(m) from level m - 1
@@ -195,6 +219,13 @@ def _evolve(spins, deltas, pulse, spec) -> np.ndarray:
     weights[:, 0] = np.repeat(branch * raising[fock[1:]], 2, axis=1)
     weights[:, 1] = np.repeat(branch * lowering[fock[1:]], 2, axis=1)
 
+    # modes k, k' (strides s, s') share one strided view, whose rows read the
+    # state offset by -s, +s', -s', +s entries: rows 2k, 2k' + 1, 2k', 2k + 1.
+    # A mode left over alone (k' = k) takes the first two.
+    groups = [range(n_modes)[i : i + 2] for i in range(0, n_modes, 2)]
+    rows = [r for k in groups for r in (2 * k[0], 2 * k[-1] + 1, 2 * k[-1], 2 * k[0] + 1)[: 2 * len(k)]]
+    weights = weights.reshape(2 * n_modes, 2 * size)[rows]
+
     # stage inputs sit inside zero padding, so every shifted view is in range
     # and whatever it reads across a mode boundary meets a zero weight
     phi_pad, y_pad = np.zeros(size + 2 * pad, complex), np.zeros(size + 2 * pad, complex)
@@ -202,48 +233,52 @@ def _evolve(spins, deltas, pulse, spec) -> np.ndarray:
     phi0 = np.tensordot(basis.conj().T, psi0, axes=1).ravel()
     phi[:] = phi0
     shifted = np.empty((2 * n_modes, size), dtype=complex)
-    shifted_pairs = shifted.view(float).reshape(n_modes, 2, 2 * size)
-    g1, g2, g3, g4 = (np.empty(size, dtype=complex) for _ in range(4))
+    g = np.empty((4, size), dtype=complex)  # stage k_j times (h/2, h/2, h, h/2)
+    g0, g1, g2, g3 = g
+    g_real, increment = g.view(float), np.empty(size, dtype=complex)
+    increment_real = increment.view(float)
 
-    def shift_views(padded):
-        # the state offset by -s and +s entries, as one (2, 2 * size) float view
-        real = padded.view(float)
-        step = real.itemsize
-        return [
-            as_strided(real[2 * (pad - s) :], (2, 2 * size), (4 * s * step, step), writeable=False)
-            for s in strides
-        ]
+    def shift_terms(padded):
+        # (weights, view, out) per group, as (len(k), 2, 2 * size) float arrays
+        real, step, terms = padded.view(float), padded.itemsize // 2, []
+        for k in groups:
+            s, s2, rows_k = strides[k[0]], strides[k[-1]], slice(2 * k[0], 2 * k[0] + 2 * len(k))
+            shape = (len(k), 2, 2 * size)
+            view = as_strided(real[2 * (pad - s) :], shape, (2 * (s - s2) * step, 2 * (s + s2) * step, step),
+                              writeable=False)
+            terms.append((weights[rows_k].reshape(shape), view, shifted[rows_k].view(float).reshape(shape)))
+        return terms
 
-    phi_views, y_views = shift_views(phi_pad), shift_views(y_pad)
-
-    def rhs(drive, views, dst):
-        # dst = (h/2) d phi/dt at one grid point
-        for w, v, out in zip(weights, views, shifted_pairs):
-            np.multiply(w, v, out=out)
-        np.dot(drive, shifted, out=dst)
+    phi_terms, y_terms = shift_terms(phi_pad), shift_terms(y_pad)
+    multiply, dot, add = np.multiply, np.dot, np.add
 
     for s0 in range(0, n_steps, _CHUNK_STEPS):
         s1 = min(s0 + _CHUNK_STEPS, n_steps)
         t = np.arange(2 * s0, 2 * s1 + 1) * (h / 2.0)
         # (h/2) i Omega e^{i delta t} for a, minus its conjugate for a^dag
         up = (0.5j * h) * pulse.amplitude(t)[:, None] * np.exp(1j * np.multiply.outer(t, deltas))
-        drive = np.stack([-np.conj(up), up], axis=2).reshape(t.size, 2 * n_modes)
-        for i in range(0, 2 * (s1 - s0), 2):
-            rhs(drive[i], phi_views, g1)
-            np.add(phi, g1, out=y)
-            rhs(drive[i + 1], y_views, g2)
-            np.add(phi, g2, out=y)
-            rhs(drive[i + 1], y_views, g3)
-            g2 += g3
-            g3 += g3
-            np.add(phi, g3, out=y)
-            rhs(drive[i + 2], y_views, g4)
-            # phi += (h/6)(k1 + 2 k2 + 2 k3 + k4), where g = (h/2) k
-            g2 += g2
-            g1 += g4
-            g1 += g2
-            g1 *= 1.0 / 3.0
-            phi += g1
+        drive = np.stack([-np.conj(up), up], axis=2).reshape(t.size, 2 * n_modes)[:, rows]
+        # per step the stage rows at t, t + h/2, t + h/2 (doubled, exactly) and t + h
+        stages = np.stack([drive[:-2:2], drive[1::2], 2.0 * drive[1::2], drive[2::2]], axis=1)
+        for d0, d1, d2, d3 in stages:
+            for w, v, out in phi_terms:
+                multiply(w, v, out=out)
+            dot(d0, shifted, out=g0)
+            add(phi, g0, out=y)
+            for w, v, out in y_terms:
+                multiply(w, v, out=out)
+            dot(d1, shifted, out=g1)
+            add(phi, g1, out=y)
+            for w, v, out in y_terms:
+                multiply(w, v, out=out)
+            dot(d2, shifted, out=g2)
+            add(phi, g2, out=y)
+            for w, v, out in y_terms:
+                multiply(w, v, out=out)
+            dot(d3, shifted, out=g3)
+            # phi += (h/6)(k1 + 2 k2 + 2 k3 + k4) as one real combination of the rows
+            dot(_RK4_ROWS, g_real, out=increment_real)
+            phi += increment
     return psi0 + np.tensordot(basis, (phi - phi0).reshape(psi0.shape), axes=1)
 
 
@@ -308,7 +343,37 @@ def run_oracle(
         phase_analytic=phases,
         phase_numeric=b_num,
         norm_drift=float(norm_drift),
+        n_steps=spec.n_steps,
     )
+
+
+def run_oracle_to_tolerance(
+    coupling: GateCoupling,
+    pulse: PulseShape,
+    delta_c: float,
+    spec: OracleSpec,
+    domega: float = 0.0,
+    quad_rel: float = QUAD_REL,
+) -> OracleReport:
+    """``run_oracle`` at 1,000, 2,000, 4,000, ... steps, at most spec.n_steps,
+    until the step-doubling estimate is at most STEP_TOL.
+
+    The estimate of the run at n steps is max |X_n - X_{n/2}| / (15 max |X_n|),
+    the larger over X = alpha_numeric and phase_numeric. The last run's
+    report carries it as ``step_error``; if the doubling reaches spec.n_steps
+    first, that estimate is above STEP_TOL (and None if only one run fits).
+    """
+    report, n = None, _FIRST_STEPS
+    while n <= spec.n_steps:
+        new = run_oracle(coupling, pulse, delta_c, replace(spec, n_steps=n), domega, quad_rel)
+        if report is not None:
+            pairs = ((new.alpha_numeric, report.alpha_numeric), (new.phase_numeric, report.phase_numeric))
+            estimate = max(np.abs(x - old).max() / (15.0 * np.abs(x).max()) for x, old in pairs)
+            new = replace(new, step_error=float(estimate))
+            if estimate <= STEP_TOL:
+                return new
+        report, n = new, 2 * n
+    return report
 
 
 def _extract_mode_quantities(psi, lam, phases, branches, n_max, n_modes):

@@ -435,6 +435,26 @@ def test_cli_argument_lists_parse():
     assert build_parser().parse_args(["oracle", "--config", "c.json"]).modes == (0, 1)
 
 
+def test_cli_oracle_fixed_steps_or_step_doubling(tmp_path, capsys, monkeypatch, ref_config_module):
+    import msgate.oracle
+    from msgate.cli import main
+
+    calls, evolve = [], msgate.oracle._evolve
+    monkeypatch.setattr(msgate.oracle, "_evolve", lambda *args: calls.append(args[3].n_steps) or evolve(*args))
+    path = write_config(tmp_path, ref_config_module)
+    # an explicit --steps integrates once, with exactly that many steps
+    assert main(["oracle", "--config", str(path), "--nmax", "6", "--steps", "1500"]) == 0
+    assert calls == [1500]
+    assert not any(line.startswith("steps") for line in capsys.readouterr().out.splitlines())
+    # without it the count doubles from 1,000 until the estimate meets 1e-10
+    calls.clear()
+    assert main(["oracle", "--config", str(path), "--nmax", "6"]) == 0
+    assert calls == [1000, 2000, 4000, 8000, 16000]
+    line = capsys.readouterr().out.splitlines()[1]
+    assert line.startswith("steps = 16000 (step-doubling estimate ")
+    assert float(line.split("estimate ")[1].split()[0]) <= msgate.oracle.STEP_TOL
+
+
 def test_cli_parity_to_file(tmp_path, ref_config_module):
     from msgate.cli import main
 
