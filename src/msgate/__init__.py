@@ -41,7 +41,6 @@ from .modes import (
     GateCoupling,
     ModeStructure,
     ZigZagInstabilityError,
-    axial_modes,
     build_coupling,
     radial_modes,
 )
@@ -52,7 +51,6 @@ from .pulses import (
     SquarePulse,
     TruncGaussianPulse,
     make_pulse,
-    spline_gaussian,
 )
 from .trajectory import ResonanceError, TrajectoryEngine
 
@@ -61,9 +59,9 @@ __all__ = [
     "LaserGeometry", "ModeStructure", "OracleReport", "OracleSpec", "PulseShape", "PulseSpec",
     "ResonanceError", "SensitivityEdgeError", "SplineGaussianPulse", "SquarePulse", "SystemConfig",
     "TrajectoryEngine", "TruncGaussianPulse", "ZigZagInstabilityError", "angular_to_hz",
-    "axial_freq_for_center_spacing", "axial_modes", "breakdown_curve", "build_chain",
-    "build_coupling", "design_gate", "displacement_error", "equilibrium_positions", "exact_fidelity",
-    "hz_to_angular", "load_config", "make_pulse", "parity_scan", "phase_and_derivative", "radial_modes",
+    "axial_freq_for_center_spacing", "breakdown_curve", "build_chain", "build_coupling",
+    "design_gate", "displacement_error", "equilibrium_positions", "exact_fidelity", "hz_to_angular",
+    "load_config", "make_pulse", "parity_scan", "phase_and_derivative", "radial_modes",
     "reduced_density_matrix", "rotation_error", "run_oracle", "sensitivity", "solve_balance",
-    "spin_eigensystem", "spline_gaussian",
+    "spin_eigensystem",
 ]

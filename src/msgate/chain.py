@@ -156,7 +156,3 @@ def build_chain(config: SystemConfig) -> IonChain:
         omega_z = axial_freq_for_center_spacing(config.n_ions, config.center_spacing_m)
     return chain_for_axial_freq(config.n_ions, omega_z)
 
-
-def axial_hessian(chain: IonChain) -> np.ndarray:
-    """Dimensionless axial mode matrix at the chain's equilibrium."""
-    return _hessian(chain.u)

@@ -73,10 +73,9 @@ class LaserGeometry:
 
 @dataclass(frozen=True)
 class PulseSpec:
-    """Pulse parameters as they appear in the config file (Hz / s units)."""
+    """Pulse parameters as they appear in the config file (times in s)."""
 
     type: str = "trunc_gaussian"
-    omega0_hz: float = 1e5  # trial carrier Rabi rate peak, Hz; designs run at unit rate, so no output depends on it
     tau_s: float = 200e-6
     z_s: float = 25e-6  # Gaussian width; ignored by the square pulse
     n_knots: int = 13  # spline_gaussian only
@@ -84,8 +83,6 @@ class PulseSpec:
     def __post_init__(self):
         if self.type not in PULSE_TYPES:
             raise ConfigError(f"pulse type must be one of {PULSE_TYPES}, got {self.type!r}")
-        if not self.omega0_hz > 0:
-            raise ConfigError(f"pulse.omega0_hz must be positive, got {self.omega0_hz!r}")
         if not self.tau_s > 0:
             raise ConfigError("tau_s must be positive")
         if self.type != "square" and not self.z_s > 0:
@@ -168,7 +165,6 @@ class SystemConfig:
             "target_pair": list(self.target_pair),
             "pulse": {
                 "type": self.pulse.type,
-                "omega0_hz": self.pulse.omega0_hz,
                 "tau_s": self.pulse.tau_s,
                 "z_s": self.pulse.z_s,
                 "n_knots": self.pulse.n_knots,
@@ -244,21 +240,28 @@ def _typed(key: str, value, kind: type):
     return float(value)
 
 
-def _section(raw: dict, name: str, cls):
+def _section(raw: dict, name: str, cls, legacy: frozenset = frozenset()):
     """A nested mapping of the config file as a ``cls`` dataclass.
 
-    Every key must name a field; each value must have the type of that
-    field's default (see ``_typed``), and absent fields keep their defaults.
+    Every key must name a field or be one of the ``legacy`` keys; each
+    field value must have the type of that field's default (see ``_typed``),
+    and absent fields keep their defaults. A legacy key's value must be a
+    positive finite number; it is then dropped.
     """
     section = raw.get(name, {})
     if not isinstance(section, dict):
         raise ConfigError(f"'{name}' must be a mapping")
-    _reject_unknown(section, (f.name for f in fields(cls)), f" in '{name}'")
+    _reject_unknown(section, [*(f.name for f in fields(cls)), *legacy], f" in '{name}'")
     defaults = cls()
-    return cls(**{
-        key: _typed(f"{name}.{key}", value, type(getattr(defaults, key)))
+    values = {
+        key: _typed(f"{name}.{key}", value, float if key in legacy else type(getattr(defaults, key)))
         for key, value in section.items()
-    })
+    }
+    for key in legacy & values.keys():
+        value = values.pop(key)
+        if not value > 0:
+            raise ConfigError(f"{name}.{key} must be positive, got {value!r}")
+    return cls(**values)
 
 
 def config_from_dict(raw: dict) -> SystemConfig:
@@ -282,7 +285,9 @@ def config_from_dict(raw: dict) -> SystemConfig:
         wavevector_factor=real("wavevector_factor", 2.0),
         projection_angle=real("projection_angle_rad", math.pi / 4.0),
     )
-    pulse = _section(raw, "pulse", PulseSpec)
+    # pulse.omega0_hz, a trial peak Rabi rate, is checked and ignored: a
+    # design sets its own rate, and existing configs still carry the key
+    pulse = _section(raw, "pulse", PulseSpec, legacy=frozenset({"omega0_hz"}))
     tol = _section(raw, "tol", Tolerances)
 
     pair = raw.get("target_pair")
@@ -291,12 +296,8 @@ def config_from_dict(raw: dict) -> SystemConfig:
             raise ConfigError("target_pair must be a pair of ion indices")
         pair = tuple(_typed("target_pair", index, int) for index in pair)
 
-    n_ions = _typed("n_ions", raw["n_ions"], int)
-    if n_ions < 2:
-        raise ConfigError("n_ions must be at least 2 (a gate needs a pair)")
-
     return SystemConfig(
-        n_ions=n_ions,
+        n_ions=_typed("n_ions", raw["n_ions"], int),
         radial_a_freq_hz=real("radial_a_freq_hz"),
         radial_b_freq_hz=real("radial_b_freq_hz"),
         axial_freq_hz=real("axial_freq_hz"),

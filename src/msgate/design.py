@@ -232,16 +232,15 @@ def design_gate(config: SystemConfig, delta0_override: float | None = None) -> G
     balance solve and produces an unbalanced reference design at a fixed
     detuning. The design runs at unit peak Rabi rate; one kernel call at the
     design detuning gives theta_1, and omega0 = sqrt((pi/2)/|theta_1|) scales
-    that call's alpha by omega0 and B by omega0^2, so |theta| = pi/2 and the
-    config's trial ``omega0_hz`` reaches no output. When theta_1 < 0 the
-    second ion's differential-phase flip is toggled, which flips theta
-    exactly and leaves the displacement error untouched. Every quadrature
-    runs to ``config.tol.quad_rel``; the design keeps it, and its diagnostics
-    give the panel count and error estimate of the design-point integrals.
-    Raises ResonanceError when the design detuning sits on a mode.
+    that call's alpha by omega0 and B by omega0^2, so |theta| = pi/2. When
+    theta_1 < 0 the second ion's differential-phase flip is toggled, which
+    flips theta exactly and leaves the displacement error untouched. Every
+    quadrature runs to ``config.tol.quad_rel``; the design keeps it, and its
+    diagnostics give the panel count and error estimate of the design-point
+    integrals. Raises ResonanceError when the design detuning sits on a mode.
     """
     coupling = build_coupling(config, build_chain(config))
-    unit = make_pulse(config.pulse).unit_rate
+    unit = make_pulse(config.pulse)
     nu1, nu2 = _target_freqs(coupling)
     quad_rel = config.tol.quad_rel
 

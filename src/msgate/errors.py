@@ -159,8 +159,6 @@ class ParityScan:
     phis: np.ndarray
     parities: np.ndarray
     amplitude: float  # fitted oscillation amplitude A_pi
-    phase: float  # fitted phase offset
-    offset: float
     degenerate: bool = False
 
     def fidelity_estimate(self, rho: np.ndarray) -> float:
@@ -185,7 +183,7 @@ def parity_scan(rho: np.ndarray, phis) -> ParityScan:
         parities[i] = np.real(np.trace(rotated @ _PARITY_OP))
     design = np.column_stack([np.sin(2.0 * phis), np.cos(2.0 * phis), np.ones(phis.size)])
     coeff, *_ = np.linalg.lstsq(design, parities, rcond=None)
-    a, b, c = coeff
+    a, b = coeff[:2]
     amplitude = float(np.hypot(a, b))
     degenerate = np.ptp(parities) < 1e-12
     if degenerate:
@@ -194,7 +192,5 @@ def parity_scan(rho: np.ndarray, phis) -> ParityScan:
         phis=phis,
         parities=parities,
         amplitude=amplitude,
-        phase=float(np.arctan2(b, a)),
-        offset=float(c),
         degenerate=degenerate,
     )

@@ -1,16 +1,13 @@
-"""Normal modes of the chain and Lamb-Dicke couplings for a target pair.
+"""Radial normal modes of the chain and Lamb-Dicke couplings for a target pair.
 
-The axial mode matrix has entries (dimensionless, eigenvalues mu_k >= 1)
-
-    A_ii = 1 + 2 sum_{m != i} |u_i - u_m|^-3,   A_ij = -2 |u_i - u_j|^-3
-
-and the radial matrix for a trap frequency omega_t (the radial COM mode)
+The dimensionless radial mode matrix for a trap frequency omega_t (the
+radial COM mode) has entries
 
     A_ii = (omega_t/omega_z)^2 - sum_{m != i} |u_i - u_m|^-3,
-    A_ij = +|u_i - u_j|^-3.
+    A_ij = +|u_i - u_j|^-3,
 
-Mode frequencies are ``omega_z * sqrt(mu_k)`` in both cases. The highest
-radial mode is always the centre-of-mass mode at exactly omega_t.
+and its eigenvalues mu_k give the mode frequencies ``omega_z * sqrt(mu_k)``.
+The highest radial mode is always the centre-of-mass mode at exactly omega_t.
 """
 
 from __future__ import annotations
@@ -20,7 +17,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .chain import IonChain, axial_hessian
+from .chain import IonChain
 from .config import HBAR, ION_MASS, LaserGeometry, SystemConfig, angular_to_hz, hz_to_angular
 
 LAMB_DICKE_WARN = 0.2  # |eta| beyond this leaves the regime the model assumes
@@ -43,13 +40,9 @@ class ModeStructure:
     sign-fixed so that the first entry of significant size is positive.
     """
 
-    direction: str  # 'axial' | 'radial_a' | 'radial_b'
+    direction: str  # 'radial_a' | 'radial_b'
     freqs: np.ndarray = field(repr=False)
     participation: np.ndarray = field(repr=False)
-
-    @property
-    def n(self) -> int:
-        return self.freqs.size
 
     def splitting(self, k1: int = 0, k2: int = 1) -> float:
         """Frequency gap nu_k2 - nu_k1 in rad/s."""
@@ -74,18 +67,6 @@ def _check_nondegenerate(freqs: np.ndarray, direction: str) -> None:
         raise DegenerateModesError(
             f"near-degenerate {direction} modes; frequency ordering is not reliable"
         )
-
-
-def axial_modes(chain: IonChain) -> ModeStructure:
-    """Axial eigenmodes; the lowest is the COM mode with uniform participation."""
-    mu, b = np.linalg.eigh(axial_hessian(chain))
-    freqs = chain.omega_z * np.sqrt(mu)
-    _check_nondegenerate(freqs, "axial")
-    return ModeStructure(
-        direction="axial",
-        freqs=freqs,
-        participation=_fix_column_signs(b),
-    )
 
 
 def radial_hessian(chain: IonChain, trap_freq: float) -> np.ndarray:
@@ -137,10 +118,6 @@ class GateCoupling:
     directions: tuple[str, ...] = field(repr=False, default=())
     mode_indices: tuple[int, ...] = field(repr=False, default=())
     even_flip: bool = False
-
-    @property
-    def n_modes(self) -> int:
-        return self.freqs.size
 
     @property
     def eta_products(self) -> np.ndarray:

@@ -1,7 +1,8 @@
 """Carrier Rabi-rate envelopes Omega(t) for the three pulse families.
 
 All shapes vanish outside the gate window [0, tau] and are non-negative
-inside it. ``omega0`` is the peak angular Rabi rate in rad/s. Each shape
+inside it. ``omega0`` is the peak angular Rabi rate in rad/s; the config
+builds every shape at unit rate, and a design sets its own. Each shape
 also gives its autocorrelation R(s) = integral_s^tau Omega(t) Omega(t-s) dt
 exactly (closed form, or exact piecewise-polynomial quadrature for the
 spline); the entangling phase is the sine transform of R. The natural
@@ -23,7 +24,7 @@ import numpy as np
 from numpy.polynomial.chebyshev import chebvander
 from numpy.polynomial.legendre import leggauss
 
-from .config import PulseSpec, hz_to_angular
+from .config import PulseSpec
 
 
 class NaturalCubicSpline:
@@ -233,10 +234,6 @@ class SplineGaussianPulse(PulseShape):
             raise ValueError("need at least 4 knots")
         object.__setattr__(self, "_spline", _unit_spline(self.tau, self.z, self.n_knots))
 
-    @property
-    def knot_times(self) -> np.ndarray:
-        return self._spline.x
-
     def _profile(self, t):
         return self.omega0 * self._spline(t) ** 2
 
@@ -321,18 +318,12 @@ class SplineGaussianPulse(PulseShape):
         return SplineGaussianPulse(omega0=omega0, tau=self.tau, z=self.z, n_knots=self.n_knots)
 
 
-def spline_gaussian(omega0: float, tau: float, z: float, n_knots: int = 13) -> SplineGaussianPulse:
-    """Spline approximation to the truncated Gaussian (see SplineGaussianPulse)."""
-    return SplineGaussianPulse(omega0=omega0, tau=tau, z=z, n_knots=n_knots)
-
-
 def make_pulse(spec: PulseSpec) -> PulseShape:
-    """PulseShape from config-file units (Hz, s)."""
-    omega0 = hz_to_angular(spec.omega0_hz)
+    """The config's PulseShape (times in s) at unit peak Rabi rate, omega0 = 1."""
     if spec.type == "square":
-        return SquarePulse(omega0=omega0, tau=spec.tau_s)
+        return SquarePulse(omega0=1.0, tau=spec.tau_s)
     if spec.type == "trunc_gaussian":
-        return TruncGaussianPulse(omega0=omega0, tau=spec.tau_s, z=spec.z_s)
+        return TruncGaussianPulse(omega0=1.0, tau=spec.tau_s, z=spec.z_s)
     if spec.type == "spline_gaussian":
-        return SplineGaussianPulse(omega0=omega0, tau=spec.tau_s, z=spec.z_s, n_knots=spec.n_knots)
+        return SplineGaussianPulse(omega0=1.0, tau=spec.tau_s, z=spec.z_s, n_knots=spec.n_knots)
     raise ValueError(f"unknown pulse type {spec.type!r}")

@@ -3,7 +3,7 @@ import pytest
 from msgate import PulseSpec, SystemConfig
 
 
-def three_ion_config(pulse_type="trunc_gaussian", z_s=25e-6, omega0_hz=1e5):
+def three_ion_config(pulse_type="trunc_gaussian", z_s=25e-6):
     """Reference three-ion chain: 4.5 um spacing, 2.52/2.19 MHz radial traps,
     gate on the outer ions."""
     return SystemConfig(
@@ -12,7 +12,7 @@ def three_ion_config(pulse_type="trunc_gaussian", z_s=25e-6, omega0_hz=1e5):
         radial_a_freq_hz=2.52e6,
         radial_b_freq_hz=2.19e6,
         target_pair=(0, 2),
-        pulse=PulseSpec(type=pulse_type, omega0_hz=omega0_hz, tau_s=200e-6, z_s=z_s),
+        pulse=PulseSpec(type=pulse_type, tau_s=200e-6, z_s=z_s),
     )
 
 

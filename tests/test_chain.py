@@ -3,7 +3,7 @@ import pytest
 
 from msgate import axial_freq_for_center_spacing, build_chain, equilibrium_positions
 from msgate.config import COULOMB_COEFF, ION_MASS
-from msgate.chain import axial_hessian, chain_for_axial_freq, center_spacing_dimensionless
+from msgate.chain import _hessian, chain_for_axial_freq, center_spacing_dimensionless
 
 from conftest import three_ion_config
 
@@ -67,7 +67,7 @@ def test_residual_zero_sum_and_mirror():
 def test_equilibrium_is_a_minimum():
     for n in (3, 8, 21):
         chain = chain_for_axial_freq(n, 2 * np.pi * 5e5)
-        eigvals, _ = np.linalg.eigh(axial_hessian(chain))
+        eigvals, _ = np.linalg.eigh(_hessian(chain.u))
         assert eigvals.min() >= 1.0 - 1e-9  # Hessian positive definite
 
 

@@ -56,7 +56,7 @@ def test_balance_independent_of_trial_rabi_rate(ref_config):
     root_tol = TWO_PI * 1.0
     roots = []
     for omega0_hz in (0.4e5, 3.0e5):
-        pulse = make_pulse(replace(ref_config.pulse, omega0_hz=omega0_hz))
+        pulse = make_pulse(ref_config.pulse).with_omega0(hz_to_angular(omega0_hz))
         roots.append(solve_balance(coupling, pulse, root_tol=root_tol))
     assert abs(roots[0] - roots[1]) <= 2 * root_tol
 
@@ -74,7 +74,7 @@ def test_two_ion_balance_exists():
         center_spacing_m=4.5e-6,
         radial_a_freq_hz=2.52e6,
         radial_b_freq_hz=2.19e6,
-        pulse=PulseSpec(type="trunc_gaussian", omega0_hz=1e5, tau_s=200e-6, z_s=25e-6),
+        pulse=PulseSpec(type="trunc_gaussian", tau_s=200e-6, z_s=25e-6),
     )
     chain = build_chain(cfg)
     coupling = build_coupling(cfg, chain)
@@ -242,7 +242,7 @@ def test_scanned_roots_lie_in_the_margin_interval(n_ions, spacing_um, z_s):
     cfg = _chain_config(n_ions, spacing_um * 1e-6)
     cfg = replace(cfg, pulse=replace(cfg.pulse, z_s=z_s))
     coupling = build_coupling(cfg, build_chain(cfg))
-    pulse = make_pulse(cfg.pulse).unit_rate
+    pulse = make_pulse(cfg.pulse)
     nu1, nu2 = _target_freqs(coupling)
     margin = _bracket_margin(pulse, nu2 - nu1)
     a, b = nu1 + margin, nu2 - margin
@@ -265,7 +265,7 @@ def test_one_engine_per_design(ref_config):
     cfg = replace(ref_config, pulse=replace(ref_config.pulse, z_s=26.3e-6))
     before = engine_for.cache_info().misses
     design = design_gate(cfg)
-    assert design.pulse.omega0 != hz_to_angular(cfg.pulse.omega0_hz)
+    assert design.pulse.omega0 != make_pulse(cfg.pulse).omega0  # rescaled on the unit-rate engine
     assert engine_for.cache_info().misses == before + 1
 
 
@@ -289,7 +289,7 @@ def test_even_chain_design_normalized():
         center_spacing_m=3.5e-6,
         radial_a_freq_hz=2.52e6,
         radial_b_freq_hz=2.19e6,
-        pulse=PulseSpec(type="trunc_gaussian", omega0_hz=1e5, tau_s=200e-6, z_s=25e-6),
+        pulse=PulseSpec(type="trunc_gaussian", tau_s=200e-6, z_s=25e-6),
     )
     design = design_gate(cfg)
     assert design.coupling.even_flip
@@ -359,23 +359,6 @@ def test_design_gate_one_kernel_call_after_calibration(ref_config, monkeypatch):
         design_gate(cfg)
         assert len(solve_calls) == 1 and solve_calls[0] >= 3
         assert len(calls) == solve_calls[0] + 1
-
-
-@pytest.mark.parametrize(
-    "pulse_type, delta0_khz",
-    [("trunc_gaussian", None), ("spline_gaussian", None), ("square", -40.0)],
-)
-def test_design_record_independent_of_trial_rabi_rate(ref_config, pulse_type, delta0_khz):
-    # the design runs at unit rate, so the config's trial omega0_hz reaches no output
-    override = None if delta0_khz is None else hz_to_angular(delta0_khz * 1e3)
-    records = {
-        design_gate(
-            replace(ref_config, pulse=replace(ref_config.pulse, type=pulse_type, omega0_hz=omega0_hz)),
-            delta0_override=override,
-        ).record_json()
-        for omega0_hz in (40e3, 100e3, 300e3)
-    }
-    assert len(records) == 1
 
 
 def test_quad_rel_reaches_every_entry_point(monkeypatch):
@@ -481,7 +464,7 @@ def test_sensitivity_monotone_and_consistent(ref_design):
             center_spacing_m=3.5e-6,
             radial_a_freq_hz=2.52e6,
             radial_b_freq_hz=2.19e6,
-            pulse=PulseSpec(type="trunc_gaussian", omega0_hz=1e5, tau_s=200e-6, z_s=25e-6),
+            pulse=PulseSpec(type="trunc_gaussian", tau_s=200e-6, z_s=25e-6),
         )
         values.append(sensitivity(design_gate(cfg)))
     assert values[0] < values[1] < values[2]
@@ -632,7 +615,7 @@ def test_odd_root_farther_from_second_mode_than_even():
             center_spacing_m=3.0e-6,
             radial_a_freq_hz=2.52e6,
             radial_b_freq_hz=2.19e6,
-            pulse=PulseSpec(type="trunc_gaussian", omega0_hz=1e5, tau_s=200e-6, z_s=25e-6),
+            pulse=PulseSpec(type="trunc_gaussian", tau_s=200e-6, z_s=25e-6),
         )
         design = design_gate(cfg)
         i1 = design.coupling.flat_index("radial_b", 1)
@@ -688,7 +671,7 @@ def test_splitting_predicts_sensitivity_across_spacings():
             radial_a_freq_hz=2.52e6,
             radial_b_freq_hz=2.19e6,
             target_pair=default_target_pair(n),
-            pulse=PulseSpec(type="trunc_gaussian", omega0_hz=1e5, tau_s=200e-6, z_s=25e-6),
+            pulse=PulseSpec(type="trunc_gaussian", tau_s=200e-6, z_s=25e-6),
         )
         design = design_gate(cfg)
         i0 = design.coupling.flat_index("radial_b", 0)
@@ -718,7 +701,7 @@ def test_random_configs_calibrate_or_raise_a_domain_error(n_ions, spacing_um, ra
             radial_a_freq_hz=2.52e6,
             radial_b_freq_hz=radial_b_hz,
             target_pair=default_target_pair(n_ions),
-            pulse=PulseSpec(type=pulse_type, omega0_hz=1e5, tau_s=200e-6, z_s=z_us * 1e-6),
+            pulse=PulseSpec(type=pulse_type, tau_s=200e-6, z_s=z_us * 1e-6),
         )
         design = design_gate(cfg)
     except DOMAIN_ERRORS:

@@ -1,6 +1,7 @@
 """The package surface: what ``msgate`` exports and the names the
 benchmark's per-layer tracer wraps."""
 
+import ast
 import importlib.util
 import types
 from pathlib import Path
@@ -8,6 +9,7 @@ from pathlib import Path
 import msgate
 
 TRACER = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
+PACKAGE = Path(msgate.__file__).resolve().parent
 
 # targets the tracer still lists although the code they named is gone; a
 # span on them reads 0, which the per-layer metrics document
@@ -33,6 +35,23 @@ def test_all_lists_public_names_only():
     for name in msgate.__all__:
         value = getattr(msgate, name)
         assert not isinstance(value, types.ModuleType), name
+
+
+def test_every_public_name_has_a_package_caller():
+    # a name the package only defines and re-exports serves the tests alone;
+    # a def or class statement stores its name as a string, not a Name or
+    # Attribute node, and a pulse-type string such as "spline_gaussian" is a
+    # Constant, so neither counts as a use
+    used = set()
+    for path in PACKAGE.glob("*.py"):
+        if path.name == "__init__.py":
+            continue
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if isinstance(node, ast.Name):
+                used.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                used.add(node.attr)
+    assert sorted(set(msgate.__all__) - used) == []
 
 
 def _load_tracer():

@@ -2,7 +2,6 @@ import numpy as np
 import pytest
 
 from msgate import PulseSpec, SplineGaussianPulse, SquarePulse, TruncGaussianPulse, make_pulse
-from msgate.pulses import spline_gaussian
 
 TAU = 200e-6
 
@@ -26,9 +25,10 @@ def test_gaussian_peak_and_edges():
 
 
 def test_spline_matches_gaussian_at_knots():
-    s = spline_gaussian(omega0=1.0, tau=TAU, z=26.5e-6, n_knots=13)
+    s = SplineGaussianPulse(omega0=1.0, tau=TAU, z=26.5e-6, n_knots=13)
     g = TruncGaussianPulse(omega0=1.0, tau=TAU, z=26.5e-6)
-    np.testing.assert_allclose(s.amplitude(s.knot_times), g.amplitude(s.knot_times), atol=1e-12)
+    knots = np.linspace(0.0, TAU, 13)
+    np.testing.assert_allclose(s.amplitude(knots), g.amplitude(knots), atol=1e-12)
     # endpoints are non-zero truncations of the underlying Gaussian
     assert s.amplitude(0.0) > 0.0
     assert s.amplitude(TAU) > 0.0
@@ -37,9 +37,14 @@ def test_spline_matches_gaussian_at_knots():
 def test_spline_dense_deviation_bound():
     ts = np.linspace(0.0, TAU, 10_000)
     g = TruncGaussianPulse(omega0=1.0, tau=TAU, z=26.5e-6)
-    dev13 = np.abs(spline_gaussian(1.0, TAU, 26.5e-6, 13).amplitude(ts) - g.amplitude(ts)).max()
+
+    def deviation(n_knots):
+        spline = SplineGaussianPulse(omega0=1.0, tau=TAU, z=26.5e-6, n_knots=n_knots)
+        return np.abs(spline.amplitude(ts) - g.amplitude(ts)).max()
+
+    dev13 = deviation(13)
     assert dev13 <= 0.01
-    dev101 = np.abs(spline_gaussian(1.0, TAU, 26.5e-6, 101).amplitude(ts) - g.amplitude(ts)).max()
+    dev101 = deviation(101)
     assert dev101 < dev13
 
 
@@ -48,7 +53,7 @@ def test_symmetry_about_midpoint():
     for pulse in (
         SquarePulse(omega0=1.0, tau=TAU),
         TruncGaussianPulse(omega0=1.0, tau=TAU, z=25e-6),
-        spline_gaussian(1.0, TAU, 25e-6, 13),
+        SplineGaussianPulse(omega0=1.0, tau=TAU, z=25e-6, n_knots=13),
     ):
         left = pulse.amplitude(TAU / 2 - offsets)
         right = pulse.amplitude(TAU / 2 + offsets)
@@ -59,8 +64,8 @@ def test_monotone_ramp_for_gaussian_variants():
     half = np.linspace(0.0, TAU / 2, 2000)
     for pulse in (
         TruncGaussianPulse(omega0=1.0, tau=TAU, z=25e-6),
-        spline_gaussian(1.0, TAU, 25e-6, 13),
-        spline_gaussian(1.0, TAU, 26.5e-6, 13),
+        SplineGaussianPulse(omega0=1.0, tau=TAU, z=25e-6, n_knots=13),
+        SplineGaussianPulse(omega0=1.0, tau=TAU, z=26.5e-6, n_knots=13),
     ):
         amp = pulse.amplitude(half)
         assert np.all(np.diff(amp) > -1e-12)
@@ -71,7 +76,7 @@ def test_omega0_homogeneity():
     for make in (
         lambda o: SquarePulse(omega0=o, tau=TAU),
         lambda o: TruncGaussianPulse(omega0=o, tau=TAU, z=25e-6),
-        lambda o: spline_gaussian(o, TAU, 25e-6, 13),
+        lambda o: SplineGaussianPulse(omega0=o, tau=TAU, z=25e-6, n_knots=13),
     ):
         base = make(1.0).amplitude(ts)
         scaled = make(3.7).amplitude(ts)
@@ -83,15 +88,15 @@ def test_nonnegative_everywhere():
     for pulse in (
         SquarePulse(omega0=1.0, tau=TAU),
         TruncGaussianPulse(omega0=1.0, tau=TAU, z=12e-6),
-        spline_gaussian(1.0, TAU, 12e-6, 13),
+        SplineGaussianPulse(omega0=1.0, tau=TAU, z=12e-6, n_knots=13),
     ):
         assert np.all(pulse.amplitude(ts) >= 0.0)
 
 
 def test_make_pulse_and_rescale():
-    p = make_pulse(PulseSpec(type="spline_gaussian", omega0_hz=1e5, tau_s=TAU, z_s=25e-6, n_knots=13))
+    p = make_pulse(PulseSpec(type="spline_gaussian", tau_s=TAU, z_s=25e-6, n_knots=13))
     assert isinstance(p, SplineGaussianPulse)
-    assert p.omega0 == pytest.approx(2 * np.pi * 1e5)
+    assert p.omega0 == 1.0
     p2 = p.with_omega0(2.0 * p.omega0)
     assert p2.amplitude(TAU / 2) == pytest.approx(2.0 * p.amplitude(TAU / 2), rel=1e-12)
 
@@ -102,7 +107,7 @@ def test_validation():
     with pytest.raises(ValueError):
         TruncGaussianPulse(omega0=1.0, tau=TAU, z=0.0)
     with pytest.raises(ValueError):
-        spline_gaussian(1.0, TAU, 25e-6, n_knots=3)
+        SplineGaussianPulse(omega0=1.0, tau=TAU, z=25e-6, n_knots=3)
 
 
 def _per_call_autocorrelation(pulse, s):
@@ -114,7 +119,7 @@ def _per_call_autocorrelation(pulse, s):
 
     degree = 13
     s = np.asarray(s, dtype=float)
-    knots = pulse.knot_times
+    knots = np.linspace(0.0, pulse.tau, pulse.n_knots)
     h = knots[1] - knots[0]
     nodes, weights = leggauss(7)
     u = (nodes + 1.0) / 2.0
@@ -142,7 +147,7 @@ def _per_call_autocorrelation(pulse, s):
 def test_spline_autocorrelation_cached_bitwise():
     rng = np.random.default_rng(5)
     for z, knots in ((25e-6, 13), (12e-6, 9), (40e-6, 6)):
-        pulse = spline_gaussian(1.3e6, 200e-6, z, knots)
+        pulse = SplineGaussianPulse(omega0=1.3e6, tau=200e-6, z=z, n_knots=knots)
         lags = [rng.uniform(0.0, 200e-6, 17), np.linspace(0.0, 200e-6, 8 * 64).reshape(8, 64), 0.0]
         for s in lags + lags:  # the second pass reads the cached coefficients
             np.testing.assert_array_equal(pulse.autocorrelation(s), _per_call_autocorrelation(pulse, s))
@@ -156,7 +161,7 @@ def test_kernel_calls_fit_a_spline_pulse_once(monkeypatch):
     import msgate.pulses
     from msgate.trajectory import gate_integrals
 
-    pulse = spline_gaussian(1.3e6, TAU, 25e-6, 13)
+    pulse = SplineGaussianPulse(omega0=1.3e6, tau=TAU, z=25e-6, n_knots=13)
     fits = []
 
     class CountedSpline(msgate.pulses.NaturalCubicSpline):
@@ -199,8 +204,9 @@ def test_design_fits_one_spline_per_shape(monkeypatch):
 def test_spline_rate_scales_the_unit_spline():
     ts = np.linspace(0.0, TAU, 257)
     for w in (1.0, 3.7e5, 2 * np.pi * 1e5):
-        silent = spline_gaussian(0.0, TAU, 21e-6, 9)
+        silent = SplineGaussianPulse(omega0=0.0, tau=TAU, z=21e-6, n_knots=9)
         assert np.all(silent.amplitude(ts) == 0.0)
-        want = spline_gaussian(w, TAU, 21e-6, 9).amplitude(ts)
+        want = SplineGaussianPulse(omega0=w, tau=TAU, z=21e-6, n_knots=9).amplitude(ts)
         np.testing.assert_allclose(silent.with_omega0(w).amplitude(ts), want, rtol=1e-15, atol=0)
-        np.testing.assert_allclose(want, w * spline_gaussian(1.0, TAU, 21e-6, 9).amplitude(ts), rtol=1e-15)
+        unit = SplineGaussianPulse(omega0=1.0, tau=TAU, z=21e-6, n_knots=9)
+        np.testing.assert_allclose(want, w * unit.amplitude(ts), rtol=1e-15)

@@ -311,6 +311,33 @@ def test_cli_zero_trial_rabi_rate_exits_2(tmp_path, capsys, ref_config_module, c
     assert capsys.readouterr().err == "error: pulse.omega0_hz must be positive, got 0.0\n"
 
 
+@pytest.mark.parametrize(
+    "pulse_args",
+    [[], ["--pulse", "spline_gaussian"], ["--pulse", "square", "--delta0-khz", "-40"]],
+    ids=["trunc_gaussian", "spline_gaussian", "square-40kHz"],
+)
+def test_cli_trial_rabi_rate_is_checked_and_ignored(tmp_path, ref_config_module, pulse_args):
+    # pulse.omega0_hz is a legacy key: a design sets its own peak Rabi rate,
+    # so the loader checks the value and drops it
+    from msgate.cli import main
+    from msgate.config import config_from_dict
+
+    raws = [ref_config_module.to_dict() for _ in range(4)]
+    assert "omega0_hz" not in raws[3]["pulse"]
+    for raw, omega0_hz in zip(raws, (40e3, 100e3, 300e3)):
+        raw["pulse"]["omega0_hz"] = omega0_hz
+    configs = [config_from_dict(raw) for raw in raws]
+    assert all(cfg == ref_config_module for cfg in configs)
+    assert len({cfg.config_hash() for cfg in configs}) == 1
+    records = set()
+    for k, raw in enumerate(raws):
+        path, out = tmp_path / f"config{k}.json", tmp_path / f"design{k}.json"
+        path.write_text(json.dumps(raw))
+        assert main(["design", "--config", str(path), *pulse_args, "--out", str(out)]) == 0
+        records.add(out.read_bytes())
+    assert len(records) == 1
+
+
 def test_cli_resonant_design_is_an_error_line(tmp_path, capsys, ref_config_module):
     from msgate.cli import main
 

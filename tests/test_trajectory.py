@@ -17,7 +17,7 @@ from msgate import (
 )
 from msgate.config import Tolerances, default_target_pair
 from msgate.modes import GateCoupling
-from msgate.pulses import SquarePulse, TruncGaussianPulse, spline_gaussian
+from msgate.pulses import SplineGaussianPulse, SquarePulse, TruncGaussianPulse
 from msgate.trajectory import (
     _GL_NODES,
     _GL_WEIGHTS,
@@ -133,7 +133,7 @@ def test_phase_odd_in_delta():
 
 
 def test_alpha_magnitude_even_in_delta():
-    pulse = spline_gaussian(1.3e6, TAU, 25e-6, 13)
+    pulse = SplineGaussianPulse(omega0=1.3e6, tau=TAU, z=25e-6, n_knots=13)
     eng = engine_for(pulse)
     deltas = TWO_PI * np.array([3e3, 17e3, 61e3])
     a_plus, _ = eng.alpha_and_phase_many(deltas)
@@ -296,7 +296,7 @@ def test_analytic_derivatives_match_differences_of_theta():
     h = TWO_PI * 20.0
     for pulse in (
         TruncGaussianPulse(omega0=0.8e6, tau=TAU, z=25e-6),
-        spline_gaussian(0.8e6, TAU, 18e-6, 9),
+        SplineGaussianPulse(omega0=0.8e6, tau=TAU, z=18e-6, n_knots=9),
         SquarePulse(omega0=0.8e6, tau=TAU),
     ):
         theta0, slope = phase_and_derivative(coupling, pulse, delta_c)
@@ -313,7 +313,10 @@ def test_analytic_derivatives_match_differences_of_theta():
 
 
 def test_separable_batch_equals_pointwise():
-    for pulse in (TruncGaussianPulse(omega0=1.2e6, tau=TAU, z=25e-6), spline_gaussian(1.2e6, TAU, 25e-6)):
+    for pulse in (
+        TruncGaussianPulse(omega0=1.2e6, tau=TAU, z=25e-6),
+        SplineGaussianPulse(omega0=1.2e6, tau=TAU, z=25e-6, n_knots=13),
+    ):
         eng = TrajectoryEngine(pulse)
         modes = TWO_PI * np.array([-130e3, -41e3, 0.0, 17e3, 260e3])
         grid = TWO_PI * np.linspace(-10e3, 10e3, 7)
@@ -353,8 +356,8 @@ def test_autocorrelation_against_dense_quadrature():
         SquarePulse(omega0=1.3e6, tau=TAU),
         TruncGaussianPulse(omega0=1.3e6, tau=TAU, z=25e-6),
         TruncGaussianPulse(omega0=1.3e6, tau=TAU, z=6e-6),
-        spline_gaussian(1.3e6, TAU, 25e-6, 13),
-        spline_gaussian(1.3e6, TAU, 40e-6, 6),
+        SplineGaussianPulse(omega0=1.3e6, tau=TAU, z=25e-6, n_knots=13),
+        SplineGaussianPulse(omega0=1.3e6, tau=TAU, z=40e-6, n_knots=6),
     ):
         knot = TAU / max(pulse.pieces, 4)
         lags = np.array([0.0, 0.37 * knot, knot, 1.61 * knot, 2.0 * knot, 0.5 * TAU, 0.93 * TAU])
@@ -377,7 +380,7 @@ def _node_by_node_table(pulse, starts, offsets):
 @pytest.mark.parametrize("n_knots", [6, 9, 13])
 @pytest.mark.parametrize("z", [12e-6, 25e-6, 40e-6])
 def test_spline_tables_match_node_by_node(n_knots, z):
-    pulse = spline_gaussian(1.0, TAU, z, n_knots)
+    pulse = SplineGaussianPulse(omega0=1.0, tau=TAU, z=z, n_knots=n_knots)
     for panels in (64, 100, 256, MAX_PANELS):  # 100 is not a multiple of the pieces
         starts, offsets, weights = TrajectoryEngine(pulse)._table(panels)
         assert starts.size % pulse.pieces == 0
@@ -398,7 +401,7 @@ def test_closed_form_tables_are_node_by_node(pulse):
 SHAPES = {
     "square": SquarePulse(omega0=1.0, tau=TAU),
     "trunc_gaussian": TruncGaussianPulse(omega0=1.0, tau=TAU, z=25e-6),
-    "spline_gaussian": spline_gaussian(1.0, TAU, 25e-6, 13),
+    "spline_gaussian": SplineGaussianPulse(omega0=1.0, tau=TAU, z=25e-6, n_knots=13),
 }
 
 
@@ -467,7 +470,7 @@ def test_error_estimate_bounds_the_true_error(shape):
 BOUND_SHAPES = {
     "square": SquarePulse(omega0=1.0, tau=TAU),
     **{f"gaussian z={z}us": TruncGaussianPulse(omega0=1.0, tau=TAU, z=z * 1e-6) for z in (5, 12, 25, 60)},
-    **{f"spline {k} knots": spline_gaussian(1.0, TAU, 25e-6, k) for k in (6, 9, 13)},
+    **{f"spline {k} knots": SplineGaussianPulse(omega0=1.0, tau=TAU, z=25e-6, n_knots=k) for k in (6, 9, 13)},
 }
 
 
@@ -551,7 +554,8 @@ def _random_pulse(rng, kind):
         return SquarePulse(omega0=1.0, tau=TAU)
     if kind == "trunc_gaussian":
         return TruncGaussianPulse(omega0=1.0, tau=TAU, z=rng.uniform(5e-6, 60e-6))
-    return spline_gaussian(1.0, TAU, rng.uniform(12e-6, 45e-6), int(rng.integers(6, 14)))
+    z, n_knots = rng.uniform(12e-6, 45e-6), int(rng.integers(6, 14))
+    return SplineGaussianPulse(omega0=1.0, tau=TAU, z=z, n_knots=n_knots)
 
 
 def test_interpolated_grids_match_direct_ones():

@@ -10,10 +10,11 @@ N = 2..33 at 3, 4.5 and 6 um, and the balanced spline and square pulses.
 Each record holds the root in Hz (or the exception type and message), the
 kernel calls the solve made, the Newton step |theta'/theta''| at the root in
 Hz, and whether theta' changes sign across root +-100 Hz. Every solve runs
-at the pulse's unit peak Rabi rate (``make_pulse(...).unit_rate``), as
-``design_gate`` does, so the roots are the designs' roots. The tool uses
-only names that checkouts from before that change also have, so it runs on
-them too.
+at the pulse's unit peak Rabi rate, as ``design_gate`` does, so the roots
+are the designs' roots. ``make_pulse(...).unit_rate`` is that pulse in
+every checkout, including those whose ``make_pulse`` took its rate from
+the config, and the tool uses only names that checkouts from before the
+unit-rate design also have, so it runs on them too.
 
 The second form prints, per group, the largest |root change|, the largest
 Newton step and the kernel calls of each file. It lists every design that
