@@ -12,7 +12,6 @@ __version__ = "0.1.0"
 from .chain import IonChain, axial_freq_for_center_spacing, build_chain, equilibrium_positions
 from .config import (
     ConfigError,
-    LaserGeometry,
     PulseSpec,
     SystemConfig,
     angular_to_hz,
@@ -56,7 +55,7 @@ from .trajectory import ResonanceError, TrajectoryEngine
 
 __all__ = [
     "BracketError", "ConfigError", "CutoffError", "GateCoupling", "GateDesign", "IonChain",
-    "LaserGeometry", "ModeStructure", "OracleReport", "OracleSpec", "PulseShape", "PulseSpec",
+    "ModeStructure", "OracleReport", "OracleSpec", "PulseShape", "PulseSpec",
     "ResonanceError", "SensitivityEdgeError", "SplineGaussianPulse", "SquarePulse", "SystemConfig",
     "TrajectoryEngine", "TruncGaussianPulse", "ZigZagInstabilityError", "angular_to_hz",
     "axial_freq_for_center_spacing", "breakdown_curve", "build_chain", "build_coupling",

@@ -1,5 +1,9 @@
 """Physical constants, unit conventions, and the experiment configuration.
 
+The config file's keys are the fields of ``SystemConfig`` (and, inside
+``pulse`` and ``tol``, of ``PulseSpec`` and ``Tolerances``); ``to_dict``
+writes that tree and ``config_from_dict`` reads it back.
+
 Unit conventions used throughout the package:
 
 * configuration files, CSV outputs and serialized records carry ordinary
@@ -14,7 +18,7 @@ from __future__ import annotations
 import json
 import math
 import numbers
-from dataclasses import dataclass, field, fields
+from dataclasses import asdict, dataclass, field, fields
 from pathlib import Path
 
 TWO_PI = 2.0 * math.pi
@@ -46,32 +50,6 @@ def angular_to_hz(w):
 
 
 @dataclass(frozen=True)
-class LaserGeometry:
-    """Raman beam geometry: wavelength, wavevector factor and projection.
-
-    ``wavevector_factor`` is 2 for counter-propagating Raman beams; the
-    effective wavevector magnitude is ``factor * 2 pi / wavelength``.
-    ``projection_angle`` is the angle between the effective k-vector and
-    each radial principal axis (pi/4 couples both directions equally).
-    """
-
-    wavelength: float = 355e-9  # m
-    wavevector_factor: float = 2.0
-    projection_angle: float = math.pi / 4.0  # rad
-
-    def __post_init__(self):
-        if self.wavelength <= 0:
-            raise ConfigError("wavelength must be positive")
-        if not 0.0 <= self.projection_angle <= math.pi / 2.0:
-            raise ConfigError("projection_angle must lie in [0, pi/2]")
-
-    @property
-    def effective_wavevector(self) -> float:
-        """|Delta k| of the two-photon transition, 1/m."""
-        return self.wavevector_factor * TWO_PI / self.wavelength
-
-
-@dataclass(frozen=True)
 class PulseSpec:
     """Pulse parameters as they appear in the config file (times in s)."""
 
@@ -94,23 +72,24 @@ class PulseSpec:
 @dataclass(frozen=True)
 class Tolerances:
     quad_rel: float = QUAD_REL  # relative accuracy that picks the quadrature panel count
-    root_hz: float = 1.0  # balance-point root tolerance on delta_c, Hz
 
     def __post_init__(self):
         if not 0.0 < self.quad_rel < 1.0:
             raise ConfigError(f"quad_rel must lie in (0, 1), got {self.quad_rel!r}")
-        if not 0.0 < self.root_hz < math.inf:
-            raise ConfigError(f"root_hz must be positive and finite, got {self.root_hz!r}")
 
 
 @dataclass(frozen=True)
 class SystemConfig:
     """Validated description of one chain + laser + pulse arrangement.
 
-    Exactly one of ``axial_freq_hz`` (centre-of-mass axial mode) and
-    ``center_spacing_m`` (equilibrium separation of the two designated
-    centre ions) must be given. Immutable, so it can be shared freely
-    across concurrent sweep workers.
+    Its fields are the config file's keys. Exactly one of
+    ``axial_freq_hz`` (centre-of-mass axial mode) and ``center_spacing_m``
+    (equilibrium separation of the two designated centre ions) must be
+    given. ``wavevector_factor`` is 2 for counter-propagating Raman beams:
+    the effective wavevector magnitude is ``factor * 2 pi / wavelength_m``.
+    ``projection_angle_rad`` is the angle between the effective k-vector
+    and each radial principal axis (pi/4 couples both directions equally).
+    Immutable, so it can be shared freely across concurrent sweep workers.
     """
 
     n_ions: int
@@ -118,12 +97,18 @@ class SystemConfig:
     radial_b_freq_hz: float
     axial_freq_hz: float | None = None
     center_spacing_m: float | None = None
-    geometry: LaserGeometry = field(default_factory=LaserGeometry)
+    wavelength_m: float = 355e-9
+    wavevector_factor: float = 2.0
+    projection_angle_rad: float = math.pi / 4.0
     target_pair: tuple[int, int] | None = None
     pulse: PulseSpec = field(default_factory=PulseSpec)
     tol: Tolerances = field(default_factory=Tolerances)
 
     def __post_init__(self):
+        if self.wavelength_m <= 0:
+            raise ConfigError("wavelength must be positive")
+        if not 0.0 <= self.projection_angle_rad <= math.pi / 2.0:
+            raise ConfigError("projection_angle must lie in [0, pi/2]")
         if self.n_ions < 2:
             raise ConfigError("n_ions must be at least 2 (a gate needs a pair)")
         if (self.axial_freq_hz is None) == (self.center_spacing_m is None):
@@ -155,27 +140,8 @@ class SystemConfig:
         return angular_to_hz(axial_freq_for_center_spacing(self.n_ions, self.center_spacing_m))
 
     def to_dict(self) -> dict:
-        d = {
-            "n_ions": self.n_ions,
-            "radial_a_freq_hz": self.radial_a_freq_hz,
-            "radial_b_freq_hz": self.radial_b_freq_hz,
-            "wavelength_m": self.geometry.wavelength,
-            "wavevector_factor": self.geometry.wavevector_factor,
-            "projection_angle_rad": self.geometry.projection_angle,
-            "target_pair": list(self.target_pair),
-            "pulse": {
-                "type": self.pulse.type,
-                "tau_s": self.pulse.tau_s,
-                "z_s": self.pulse.z_s,
-                "n_knots": self.pulse.n_knots,
-            },
-            "tol": {"quad_rel": self.tol.quad_rel, "root_hz": self.tol.root_hz},
-        }
-        if self.axial_freq_hz is not None:
-            d["axial_freq_hz"] = self.axial_freq_hz
-        else:
-            d["center_spacing_m"] = self.center_spacing_m
-        return d
+        """The config file's key/value tree; the unused axial key is left out."""
+        return {key: value for key, value in asdict(self).items() if value is not None}
 
     def config_hash(self) -> str:
         """Short stable hash identifying this configuration in CSV headers."""
@@ -198,21 +164,6 @@ def default_target_pair(n_ions: int) -> tuple[int, int]:
     if n_ions % 2 == 0:
         return (n_ions // 2 - 1, n_ions // 2)
     return ((n_ions - 1) // 2 - 1, (n_ions - 1) // 2 + 1)
-
-
-_TOP_LEVEL_KEYS = {
-    "n_ions",
-    "axial_freq_hz",
-    "center_spacing_m",
-    "radial_a_freq_hz",
-    "radial_b_freq_hz",
-    "wavelength_m",
-    "wavevector_factor",
-    "projection_angle_rad",
-    "target_pair",
-    "pulse",
-    "tol",
-}
 
 
 def _reject_unknown(raw: dict, allowed, where: str = "") -> None:
@@ -240,15 +191,14 @@ def _typed(key: str, value, kind: type):
     return float(value)
 
 
-def _section(raw: dict, name: str, cls, legacy: frozenset = frozenset()):
-    """A nested mapping of the config file as a ``cls`` dataclass.
+def _section(section, name: str, cls, legacy: frozenset):
+    """The nested mapping ``section`` of the config file as a ``cls`` dataclass.
 
     Every key must name a field or be one of the ``legacy`` keys; each
     field value must have the type of that field's default (see ``_typed``),
     and absent fields keep their defaults. A legacy key's value must be a
     positive finite number; it is then dropped.
     """
-    section = raw.get(name, {})
     if not isinstance(section, dict):
         raise ConfigError(f"'{name}' must be a mapping")
     _reject_unknown(section, [*(f.name for f in fields(cls)), *legacy], f" in '{name}'")
@@ -264,49 +214,42 @@ def _section(raw: dict, name: str, cls, legacy: frozenset = frozenset()):
     return cls(**values)
 
 
+def _value(key: str, value):
+    """The top-level config value under ``key``, typed by the schema's one rule."""
+    if key == "pulse":
+        # a trial peak Rabi rate: a design sets its own rate
+        return _section(value, key, PulseSpec, legacy=frozenset({"omega0_hz"}))
+    if key == "tol":
+        # a balance-root tolerance: the solve stops at a 1e-6 Hz step
+        return _section(value, key, Tolerances, legacy=frozenset({"root_hz"}))
+    if key != "target_pair":
+        return _typed(key, value, int if key == "n_ions" else float)
+    if value is None:
+        return None
+    if not (isinstance(value, (list, tuple)) and len(value) == 2):
+        raise ConfigError("target_pair must be a pair of ion indices")
+    return tuple(_typed(key, index, int) for index in value)
+
+
 def config_from_dict(raw: dict) -> SystemConfig:
     """Build a validated SystemConfig from a parsed key/value tree.
 
-    Unknown keys and values of the wrong type (see ``_typed``) raise
-    ConfigError at every level, naming the key.
+    The keys are SystemConfig's fields. ``n_ions`` is an integer,
+    ``target_pair`` a pair of them, ``pulse`` and ``tol`` are mappings and
+    every other value is a real number. Unknown keys and values of the
+    wrong type (see ``_typed``) raise ConfigError at every level, naming
+    the key; values are checked in field order. Two legacy keys are checked
+    and dropped, ``pulse.omega0_hz`` and ``tol.root_hz``: configs written
+    for earlier versions still carry them.
     """
     if not isinstance(raw, dict):
         raise ConfigError("config root must be a key/value mapping")
-    _reject_unknown(raw, _TOP_LEVEL_KEYS)
+    keys = [f.name for f in fields(SystemConfig)]
+    _reject_unknown(raw, keys)
     for key in ("n_ions", "radial_a_freq_hz", "radial_b_freq_hz"):
         if key not in raw:
             raise ConfigError(f"missing required config key: {key}")
-
-    def real(key, default=None):
-        return _typed(key, raw[key], float) if key in raw else default
-
-    geometry = LaserGeometry(
-        wavelength=real("wavelength_m", 355e-9),
-        wavevector_factor=real("wavevector_factor", 2.0),
-        projection_angle=real("projection_angle_rad", math.pi / 4.0),
-    )
-    # pulse.omega0_hz, a trial peak Rabi rate, is checked and ignored: a
-    # design sets its own rate, and existing configs still carry the key
-    pulse = _section(raw, "pulse", PulseSpec, legacy=frozenset({"omega0_hz"}))
-    tol = _section(raw, "tol", Tolerances)
-
-    pair = raw.get("target_pair")
-    if pair is not None:
-        if not (isinstance(pair, (list, tuple)) and len(pair) == 2):
-            raise ConfigError("target_pair must be a pair of ion indices")
-        pair = tuple(_typed("target_pair", index, int) for index in pair)
-
-    return SystemConfig(
-        n_ions=_typed("n_ions", raw["n_ions"], int),
-        radial_a_freq_hz=real("radial_a_freq_hz"),
-        radial_b_freq_hz=real("radial_b_freq_hz"),
-        axial_freq_hz=real("axial_freq_hz"),
-        center_spacing_m=real("center_spacing_m"),
-        geometry=geometry,
-        target_pair=pair,
-        pulse=pulse,
-        tol=tol,
-    )
+    return SystemConfig(**{key: _value(key, raw[key]) for key in keys if key in raw})
 
 
 def load_config(path) -> SystemConfig:

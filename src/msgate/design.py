@@ -142,14 +142,14 @@ def _slope_and_curvature(coupling: GateCoupling, pulse: PulseShape, delta_c: flo
     return float(coupling.eta_products @ slopes), float(coupling.eta_products @ curvatures)
 
 
-def _newton_root(func, a: float, b: float, fa: float, fb: float, x: float, max_step: float) -> float:
+def _newton_root(func, a: float, b: float, fa: float, fb: float, x: float) -> float:
     """Zero of f in the sign-change bracket [a, b] by safeguarded Newton from x.
 
     ``func(x)`` returns (f(x), f'(x)); every evaluation narrows the bracket.
     A Newton step that leaves the bracket, or is longer than half the step
     before last, is replaced by bisection (rtsafe). Stops when a step is
-    below _ROOT_STEP; after _NEWTON_MAX_ITER evaluations a last step above
-    ``max_step`` raises ConvergenceError.
+    below _ROOT_STEP; _NEWTON_MAX_ITER evaluations without one raise
+    ConvergenceError.
     """
     neg, pos = (a, b) if fa < 0.0 else (b, a)  # f(neg) < 0 < f(pos)
     last = before = abs(b - a)
@@ -168,16 +168,12 @@ def _newton_root(func, a: float, b: float, fa: float, fb: float, x: float, max_s
         x = target
         if last < _ROOT_STEP:
             return x
-    if last > max_step:
-        raise ConvergenceError(
-            f"balance Newton step still {angular_to_hz(last):.3g} Hz after {_NEWTON_MAX_ITER} evaluations"
-        )
-    return x
+    raise ConvergenceError(
+        f"balance Newton step still {angular_to_hz(last):.3g} Hz after {_NEWTON_MAX_ITER} evaluations"
+    )
 
 
-def solve_balance(
-    coupling: GateCoupling, pulse: PulseShape, root_tol: float = TWO_PI * 1.0, quad_rel: float = QUAD_REL
-) -> float:
+def solve_balance(coupling: GateCoupling, pulse: PulseShape, quad_rel: float = QUAD_REL) -> float:
     """Carrier detuning between the two target modes where d theta/d delta_c = 0.
 
     The root is independent of the Rabi rate (theta scales as omega0^2
@@ -188,8 +184,7 @@ def solve_balance(
     points of a uniform grid on [a, b], and the bracket is the sign-change
     cell nearest the midpoint of the two modes. Safeguarded Newton on the
     analytic (d theta, d2 theta) starts from the bracket's secant point and
-    stops at a step below 1e-6 Hz (``_newton_root``); ``root_tol`` bounds
-    the last step should the iteration cap be reached. Every point
+    stops at a step below 1e-6 Hz (``_newton_root``). Every point
     evaluation raises ResonanceError within the guard band of a mode; the
     scan does not check. A BracketError reports both interval-end derivatives.
     """
@@ -218,7 +213,7 @@ def solve_balance(
         i = changes[np.argmin(np.abs(centres - 0.5 * (nu1 + nu2)))]
         a, b, fa, fb = grid[i], grid[i + 1], values[i], values[i + 1]
     secant = a - fa * (b - a) / (fb - fa)
-    root = _newton_root(derivatives, a, b, fa, fb, secant, root_tol)
+    root = _newton_root(derivatives, a, b, fa, fb, secant)
     if not (nu1 < root < nu2):
         raise BracketError("balance root escaped the inter-mode interval")
     return float(root)
@@ -246,7 +241,7 @@ def design_gate(config: SystemConfig, delta0_override: float | None = None) -> G
 
     balanced = delta0_override is None
     if balanced:
-        delta_c = solve_balance(coupling, unit, hz_to_angular(config.tol.root_hz), quad_rel)
+        delta_c = solve_balance(coupling, unit, quad_rel)
     else:
         delta_c = nu1 + delta0_override
 

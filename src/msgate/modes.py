@@ -13,12 +13,12 @@ The highest radial mode is always the centre-of-mass mode at exactly omega_t.
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
 from .chain import IonChain
-from .config import HBAR, ION_MASS, LaserGeometry, SystemConfig, angular_to_hz, hz_to_angular
+from .config import HBAR, ION_MASS, TWO_PI, SystemConfig, angular_to_hz, hz_to_angular
 
 LAMB_DICKE_WARN = 0.2  # |eta| beyond this leaves the regime the model assumes
 
@@ -133,21 +133,13 @@ class GateCoupling:
 
     def flipped(self) -> "GateCoupling":
         """Same coupling with the differential pi phase toggled."""
-        return GateCoupling(
-            pair=self.pair,
-            freqs=self.freqs,
-            eta1=self.eta1,
-            eta2=-self.eta2,
-            directions=self.directions,
-            mode_indices=self.mode_indices,
-            even_flip=not self.even_flip,
-        )
+        return replace(self, eta2=-self.eta2, even_flip=not self.even_flip)
 
 
-def lamb_dicke_parameters(modes: ModeStructure, geometry: LaserGeometry, ion: int) -> np.ndarray:
+def lamb_dicke_parameters(modes: ModeStructure, config: SystemConfig, ion: int) -> np.ndarray:
     """eta_k of one ion for every mode of one radial direction."""
     ground_extent = np.sqrt(HBAR / (2.0 * ION_MASS * modes.freqs))
-    k_proj = geometry.effective_wavevector * np.cos(geometry.projection_angle)
+    k_proj = config.wavevector_factor * TWO_PI / config.wavelength_m * np.cos(config.projection_angle_rad)
     return modes.participation[ion, :] * k_proj * ground_extent
 
 
@@ -163,8 +155,8 @@ def build_coupling(config: SystemConfig, chain: IonChain) -> GateCoupling:
         radial_modes(chain, hz_to_angular(config.radial_b_freq_hz), "radial_b"),
     ]
     i1, i2 = config.target_pair
-    eta1 = np.concatenate([lamb_dicke_parameters(m, config.geometry, i1) for m in modes])
-    eta2 = np.concatenate([lamb_dicke_parameters(m, config.geometry, i2) for m in modes])
+    eta1 = np.concatenate([lamb_dicke_parameters(m, config, i1) for m in modes])
+    eta2 = np.concatenate([lamb_dicke_parameters(m, config, i2) for m in modes])
     even_flip = config.n_ions % 2 == 0
     if even_flip:
         eta2 = -eta2

@@ -7,13 +7,15 @@ import pytest
 
 from msgate import (
     ConfigError,
-    LaserGeometry,
+    PulseSpec,
     SystemConfig,
     angular_to_hz,
     hz_to_angular,
     load_config,
 )
-from msgate.config import COULOMB_COEFF, HBAR, ION_MASS, config_from_dict, default_target_pair
+from msgate.chain import build_chain
+from msgate.config import COULOMB_COEFF, HBAR, ION_MASS, Tolerances, config_from_dict, default_target_pair
+from msgate.modes import build_coupling
 
 from conftest import three_ion_config
 
@@ -38,11 +40,33 @@ def test_constants_match_reference_values():
 
 
 def test_geometry_defaults_and_wavevector():
-    g = LaserGeometry()
-    assert g.wavelength == 355e-9
-    assert g.wavevector_factor == 2.0
-    assert g.projection_angle == pytest.approx(math.pi / 4)
-    assert g.effective_wavevector == pytest.approx(2 * 2 * math.pi / 355e-9)
+    cfg = three_ion_config()
+    assert cfg.wavelength_m == 355e-9
+    assert cfg.wavevector_factor == 2.0
+    assert cfg.projection_angle_rad == pytest.approx(math.pi / 4)
+    # the COM mode couples each of n ions with participation 1/sqrt(n)
+    coupling = build_coupling(cfg, build_chain(cfg))
+    com = coupling.flat_index("radial_b", cfg.n_ions - 1)
+    k_proj = 2 * 2 * math.pi / 355e-9 * math.cos(math.pi / 4)
+    extent = math.sqrt(HBAR / (2 * ION_MASS * coupling.freqs[com]))
+    assert coupling.eta1[com] == pytest.approx(k_proj * extent / math.sqrt(cfg.n_ions), rel=1e-12)
+
+
+@pytest.mark.parametrize(
+    "patch, message",
+    [
+        ({"wavelength_m": 0.0}, "wavelength must be positive"),
+        ({"wavelength_m": -355e-9}, "wavelength must be positive"),
+        ({"projection_angle_rad": -1e-3}, r"projection_angle must lie in \[0, pi/2\]"),
+        ({"projection_angle_rad": math.pi / 2 + 1e-3}, r"projection_angle must lie in \[0, pi/2\]"),
+    ],
+)
+def test_geometry_is_range_checked(patch, message):
+    with pytest.raises(ConfigError, match=f"^{message}$"):
+        config_from_dict(dict(_BASE, **patch))
+    # the angle's closed ends are accepted
+    for angle in (0.0, math.pi / 2):
+        assert config_from_dict(dict(_BASE, projection_angle_rad=angle)).projection_angle_rad == angle
 
 
 def test_load_minimal_config(tmp_path):
@@ -60,9 +84,9 @@ def test_load_minimal_config(tmp_path):
     assert cfg.center_spacing_m == 4.5e-6
     assert cfg.target_pair == (0, 2)
     # omitted geometry gets the defaults
-    assert cfg.geometry.wavelength == 355e-9
-    assert cfg.geometry.wavevector_factor == 2.0
-    assert cfg.geometry.projection_angle == pytest.approx(math.pi / 4)
+    assert cfg.wavelength_m == 355e-9
+    assert cfg.wavevector_factor == 2.0
+    assert cfg.projection_angle_rad == pytest.approx(math.pi / 4)
     # implied axial frequency matches the inverse spacing problem
     assert cfg.implied_axial_freq_hz() == pytest.approx(531.43e3, rel=1e-3)
 
@@ -109,7 +133,6 @@ def test_unknown_key_rejected_at_every_level(extra, key):
 def test_shipped_config_is_valid():
     cfg = load_config(Path(__file__).resolve().parents[1] / "configs" / "three_ion.json")
     assert cfg.pulse.z_s == 25e-6
-    assert cfg.tol.root_hz == 1.0
 
 
 def test_parse_error(tmp_path):
@@ -164,6 +187,33 @@ def test_roundtrip_serialization(tmp_path):
     again = load_config(path)
     assert again == cfg
     assert again.config_hash() == cfg.config_hash()
+
+
+_GEOMETRIES = [{}, {"wavelength_m": 532e-9, "wavevector_factor": 1.5, "projection_angle_rad": 0.3}]
+_WELLS = [{"axial_freq_hz": 4.2e5}, {"center_spacing_m": 5.5e-6}]
+
+
+@pytest.mark.parametrize("geometry", _GEOMETRIES, ids=["default-geometry", "other-geometry"])
+@pytest.mark.parametrize("well", _WELLS, ids=["axial", "spacing"])
+def test_to_dict_is_the_loader_schema(geometry, well):
+    cfg = SystemConfig(
+        n_ions=4, radial_a_freq_hz=2.52e6, radial_b_freq_hz=2.19e6, target_pair=(0, 3),
+        pulse=PulseSpec(type="spline_gaussian", tau_s=150e-6, z_s=30e-6, n_knots=9),
+        tol=Tolerances(quad_rel=1e-9), **well, **geometry,
+    )
+    raw = cfg.to_dict()
+    assert config_from_dict(raw) == cfg
+    assert config_from_dict(json.loads(json.dumps(raw))) == cfg
+    # every key written, at every level, is one the loader accepts on its own
+    (absent,) = {"axial_freq_hz", "center_spacing_m"} - set(well)
+    assert absent not in raw
+    required = {key: raw[key] for key in ("n_ions", "radial_a_freq_hz", "radial_b_freq_hz", *well)}
+    for key, value in raw.items():
+        if isinstance(value, dict):
+            for inner, inner_value in value.items():
+                config_from_dict(dict(required, **{key: {inner: inner_value}}))
+        else:
+            config_from_dict(dict(required, **{key: value}))
 
 
 def test_pulse_spec_validation():

@@ -14,7 +14,7 @@ from msgate import (
     sensitivity,
     solve_balance,
 )
-from msgate.chain import build_chain
+from msgate.chain import ConvergenceError, build_chain
 from msgate.config import PulseSpec, SystemConfig, angular_to_hz, default_target_pair, hz_to_angular
 from msgate.design import (
     SENS_HALF_RANGE_HZ,
@@ -53,12 +53,11 @@ def test_balance_point_reference_value(ref_design):
 def test_balance_independent_of_trial_rabi_rate(ref_config):
     chain = build_chain(ref_config)
     coupling = build_coupling(ref_config, chain)
-    root_tol = TWO_PI * 1.0
     roots = []
     for omega0_hz in (0.4e5, 3.0e5):
         pulse = make_pulse(ref_config.pulse).with_omega0(hz_to_angular(omega0_hz))
-        roots.append(solve_balance(coupling, pulse, root_tol=root_tol))
-    assert abs(roots[0] - roots[1]) <= 2 * root_tol
+        roots.append(solve_balance(coupling, pulse))
+    assert abs(roots[0] - roots[1]) <= hz_to_angular(1e-6)
 
 
 def test_balance_root_strictly_between_modes(ref_design):
@@ -167,10 +166,24 @@ def test_newton_from_either_bracket_end_reaches_the_same_root(ref_config, pulse_
 
     fa, fb = derivatives(a)[0], derivatives(b)[0]
     assert fa * fb < 0.0
-    from_a, from_b = (_newton_root(derivatives, a, b, fa, fb, start, TWO_PI * 1.0) for start in (a, b))
+    from_a, from_b = (_newton_root(derivatives, a, b, fa, fb, start) for start in (a, b))
     assert abs(from_a - from_b) <= hz_to_angular(1e-6)
     # the solve itself starts from the secant point and reaches the same root
     assert abs(solve_balance(coupling, pulse) - from_a) <= hz_to_angular(1e-6)
+
+
+def test_newton_raises_when_no_step_gets_below_the_stop():
+    # zero slope forces bisection; 100 halvings of a 2e30 rad/s bracket end
+    # with steps far above 1e-6 Hz
+    evaluations = []
+
+    def flat(x):
+        evaluations.append(x)
+        return x - 1.0, 0.0
+
+    with pytest.raises(ConvergenceError, match="after 100 evaluations"):
+        _newton_root(flat, -1e30, 1e30, -1e30 - 1.0, 1e30 - 1.0, 0.0)
+    assert len(evaluations) == 100
 
 
 def test_balance_solve_makes_seven_kernel_calls(ref_config, monkeypatch):

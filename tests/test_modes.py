@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from msgate import LaserGeometry, build_coupling, radial_modes
+from msgate import build_coupling, radial_modes
 from msgate.chain import _hessian, build_chain, chain_for_axial_freq
 from msgate.config import hz_to_angular
 from msgate.modes import ZigZagInstabilityError, lamb_dicke_parameters
@@ -92,11 +92,11 @@ def test_zigzag_instability_reported():
 
 def test_eta_scaling_with_frequency():
     chain = chain_for_axial_freq(2, WZ)
-    geo = LaserGeometry()
+    cfg = three_ion_config()
     m1 = radial_modes(chain, hz_to_angular(2.0e6))
     m2 = radial_modes(chain, hz_to_angular(4.0e6))
-    e1 = lamb_dicke_parameters(m1, geo, 0)
-    e2 = lamb_dicke_parameters(m2, geo, 0)
+    e1 = lamb_dicke_parameters(m1, cfg, 0)
+    e2 = lamb_dicke_parameters(m2, cfg, 0)
     # same participation; eta scales as 1/sqrt(freq), compare COM modes
     ratio = abs(e1[-1] / e2[-1])
     assert ratio == pytest.approx(np.sqrt(m2.freqs[-1] / m1.freqs[-1]), rel=1e-9)
@@ -136,6 +136,6 @@ def test_lamb_dicke_warning():
     from dataclasses import replace
 
     # a very light confinement pushes eta up; force it with a long wavelength factor
-    loose = replace(cfg, geometry=LaserGeometry(wavelength=355e-9, wavevector_factor=12.0))
+    loose = replace(cfg, wavevector_factor=12.0)
     with pytest.warns(UserWarning):
         build_coupling(loose, build_chain(loose))

@@ -338,6 +338,43 @@ def test_cli_trial_rabi_rate_is_checked_and_ignored(tmp_path, ref_config_module,
     assert len(records) == 1
 
 
+def test_cli_balance_root_tolerance_is_checked_and_ignored(tmp_path, ref_config_module):
+    # tol.root_hz is a legacy key: the balance solve stops at a 1e-6 Hz step,
+    # so the loader checks the value and drops it
+    from msgate.cli import main
+    from msgate.config import config_from_dict
+
+    raws = [ref_config_module.to_dict() for _ in range(4)]
+    assert "root_hz" not in raws[3]["tol"]
+    for raw, root_hz in zip(raws, (1e-3, 1.0, 10.0)):
+        raw["tol"]["root_hz"] = root_hz
+    configs = [config_from_dict(raw) for raw in raws]
+    assert all(cfg == ref_config_module for cfg in configs)
+    assert len({cfg.config_hash() for cfg in configs}) == 1
+    records = set()
+    for k, raw in enumerate(raws):
+        path, out = tmp_path / f"config{k}.json", tmp_path / f"design{k}.json"
+        path.write_text(json.dumps(raw))
+        assert main(["design", "--config", str(path), "--out", str(out)]) == 0
+        records.add(out.read_bytes())
+    assert len(records) == 1
+
+
+@pytest.mark.parametrize(
+    "root_hz, message",
+    [(False, "tol.root_hz must be a finite number, got False"), (0, "tol.root_hz must be positive, got 0.0")],
+)
+def test_cli_bad_balance_root_tolerance_exits_2(tmp_path, capsys, ref_config_module, root_hz, message):
+    from msgate.cli import main
+
+    raw = ref_config_module.to_dict()
+    raw["tol"]["root_hz"] = root_hz
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(raw))
+    assert main(["design", "--config", str(path)]) == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
+
+
 def test_cli_resonant_design_is_an_error_line(tmp_path, capsys, ref_config_module):
     from msgate.cli import main
 

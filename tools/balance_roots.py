@@ -14,7 +14,9 @@ at the pulse's unit peak Rabi rate, as ``design_gate`` does, so the roots
 are the designs' roots. ``make_pulse(...).unit_rate`` is that pulse in
 every checkout, including those whose ``make_pulse`` took its rate from
 the config, and the tool uses only names that checkouts from before the
-unit-rate design also have, so it runs on them too.
+unit-rate design also have, so it runs on them too. The solve gets the
+config's ``quad_rel`` by keyword and no root tolerance: checkouts whose
+``solve_balance`` still took one default it to the shipped config's 1 Hz.
 
 The second form prints, per group, the largest |root change|, the largest
 Newton step and the kernel calls of each file. It lists every design that
@@ -72,7 +74,7 @@ def write_roots(src: str, out: str) -> None:
             calls[0] = 0
             TrajectoryEngine.alpha_and_phase_many = counted
             try:
-                root = solve_balance(coupling, pulse, hz_to_angular(cfg.tol.root_hz), cfg.tol.quad_rel)
+                root = solve_balance(coupling, pulse, quad_rel=cfg.tol.quad_rel)
             finally:
                 TrajectoryEngine.alpha_and_phase_many = kernel
         except Exception as exc:  # every failure is recorded by type
